@@ -20,12 +20,7 @@ func TestKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills a subprocess")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "negotiator-exp")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building negotiator-exp: %v\n%s", err, out)
-	}
+	bin, dir := buildBinary(t), t.TempDir()
 
 	// 25ms simulated keeps each of table2's 8 cells slow enough (~200ms
 	// wall) that the kill lands mid-sweep, and the whole test under ~10s.

@@ -12,6 +12,7 @@
 //	negotiator-exp -exp all -state-dir sweep.state          # durable: cells persist as they finish
 //	negotiator-exp -exp all -state-dir sweep.state -resume  # after a crash: only unfinished cells run
 //	negotiator-exp -exp all -cell-timeout 10m   # quarantine runaway cells instead of hanging
+//	negotiator-exp -exp fig9 -cpuprofile cpu.prof -memprofile mem.prof  # inspect with go tool pprof
 //
 // With -state-dir each completed cell's output is persisted (with a
 // manifest recording its hash) the moment it finishes; killing the process
@@ -42,6 +43,7 @@ import (
 	"time"
 
 	"negotiator/internal/exp"
+	"negotiator/internal/prof"
 	"negotiator/internal/sim"
 )
 
@@ -59,6 +61,8 @@ func main() {
 		resume    = flag.Bool("resume", false, "skip cells already completed by a previous -state-dir run; output stays byte-identical to an uninterrupted run")
 		cellTime  = flag.Duration("cell-timeout", 0, "wall-clock budget per simulation cell; a cell exceeding it is retried once, then quarantined (0 = no limit)")
 		flowGroup = flag.Int("flow-group", 1, "flow-group factor k (paper experiments replay trace-driven arrivals, which never coalesce, so only 1 is valid here)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memProf   = flag.String("memprofile", "", "write an allocation profile (allocated and in-use samples) to this file when the sweep ends")
 	)
 	flag.Parse()
 
@@ -126,6 +130,11 @@ func main() {
 			todo = append(todo, e)
 		}
 	}
+	stopProfiles, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "negotiator-exp: %v\n", err)
+		os.Exit(1)
+	}
 	total := time.Now()
 	var casualties []string
 	for _, e := range todo {
@@ -148,6 +157,12 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("(%s wall time)\n\n", time.Since(start).Round(time.Millisecond))
+	}
+	// Written before the casualty exit: a sweep with quarantined cells
+	// is still worth profiling.
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "negotiator-exp: writing profiles: %v\n", err)
+		os.Exit(1)
 	}
 	if len(todo) > 1 {
 		fmt.Printf("== total: %d experiments in %s wall time (parallel=%d) ==\n",

@@ -39,6 +39,7 @@ import (
 
 	negotiator "negotiator"
 	"negotiator/internal/exp"
+	"negotiator/internal/prof"
 	"negotiator/internal/sim"
 )
 
@@ -106,6 +107,8 @@ func main() {
 		parallel    = flag.Int("parallel", 0, "max concurrent runs (0 = GOMAXPROCS, 1 = sequential)")
 		workers     = flag.Int("workers", 1, "ToR shards per run (intra-run parallelism; 0 = GOMAXPROCS, 1 = sequential). Results are identical at any value")
 		list        = flag.Bool("list", false, "list engines, schedulers, topologies and traces, then exit")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile  = flag.String("memprofile", "", "write an allocation profile (allocated and in-use samples) to this file when the run ends")
 	)
 	flag.Parse()
 
@@ -301,6 +304,16 @@ func main() {
 		}
 		return nil
 	}
+
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatalf("writing profiles: %v", err)
+		}
+	}()
 
 	if *runs <= 1 {
 		if err := runOne(*seed, os.Stdout); err != nil {

@@ -1,11 +1,22 @@
 package main
 
 import (
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// buildBinary builds the command into a test temp dir and returns its path.
+func buildBinary(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "negotiator-sim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building negotiator-sim: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // TestFlowGroupUsage pins the -flow-group validation contract through the
 // real binary: a factor below 1 is always malformed, and a factor above 1
@@ -17,10 +28,7 @@ func TestFlowGroupUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs a subprocess")
 	}
-	bin := filepath.Join(t.TempDir(), "negotiator-sim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building negotiator-sim: %v\n%s", err, out)
-	}
+	bin := buildBinary(t)
 
 	for _, tc := range []struct {
 		name string
@@ -50,5 +58,31 @@ func TestFlowGroupUsage(t *testing.T) {
 		"-duration", "100us").CombinedOutput()
 	if err != nil {
 		t.Fatalf("-flow-group 1 should be accepted: %v\n%s", err, out)
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile each write a non-empty
+// pprof file for a short run, and an unwritable path fails the run before
+// it starts.
+func TestProfileFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a subprocess")
+	}
+	bin, dir := buildBinary(t), t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	out, err := exec.Command(bin, "-tors", "4", "-ports", "2", "-duration", "100us",
+		"-cpuprofile", cpu, "-memprofile", mem).CombinedOutput()
+	if err != nil {
+		t.Fatalf("profiled run failed: %v\n%s", err, out)
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written (err %v)", filepath.Base(p), err)
+		}
+	}
+	missing := filepath.Join(dir, "missing", "cpu.prof")
+	if out, err := exec.Command(bin, "-tors", "4", "-ports", "2", "-duration", "100us",
+		"-cpuprofile", missing).CombinedOutput(); err == nil {
+		t.Errorf("unwritable -cpuprofile path accepted:\n%s", out)
 	}
 }

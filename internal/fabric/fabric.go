@@ -506,8 +506,13 @@ func (c *Core) newFlow() *flows.Flow {
 
 // Inject moves all arrivals at or before t through the control plane's
 // admission hook into the source queues. Control planes call it at the
-// point of their round where arrivals become visible.
+// point of their round where arrivals become visible. An exhausted
+// generator is not pulled again: the pump position a checkpoint records
+// stays the number of draws a restore can replay.
 func (c *Core) Inject(t sim.Time) {
+	if c.genDone {
+		return
+	}
 	if c.work == nil {
 		c.genDone = true
 		return

@@ -7,7 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"negotiator/internal/sim"
 )
@@ -19,36 +19,44 @@ const MiceFlowBytes = 10 << 10
 // FCTStats accumulates flow completion times, classified into mice and
 // all flows. The zero value is ready to use.
 //
+// Order statistics sort the samples in place, once per class: each class
+// keeps its own sortedness, so P and Max sort only all flows and MiceP and
+// MiceCDF only the mice, and a class stays sorted until new samples reach
+// it. Mean and MiceMean never sort.
+//
 // Every derived statistic has a defined zero result on an empty sample
 // set — P, MiceP, Mean, MiceMean and Max return 0, MiceCDF returns nil —
 // so per-shard instances that happened to record nothing (a legitimate
 // state under sharded engine execution) are safe to query or merge.
 type FCTStats struct {
-	all    []sim.Duration
-	mice   []sim.Duration
-	sorted bool
+	all, mice             []sim.Duration
+	allSorted, miceSorted bool
 }
 
 // Record adds one completed flow.
 func (s *FCTStats) Record(size int64, fct sim.Duration) {
-	s.sorted = false
 	s.all = append(s.all, fct)
+	s.allSorted = false
 	if size < MiceFlowBytes {
 		s.mice = append(s.mice, fct)
+		s.miceSorted = false
 	}
 }
 
-// Merge folds another accumulator's samples into s. Every derived
-// statistic sorts first, so the merge is order-independent: merging
+// Merge folds another accumulator's samples into s. Every order statistic
+// sorts first, so the merge is order-independent: merging
 // per-shard accumulators in any order yields the same percentiles, means
 // and CDFs as recording all samples into one instance. o is not modified.
 func (s *FCTStats) Merge(o *FCTStats) {
 	if o == nil || len(o.all) == 0 {
 		return
 	}
-	s.sorted = false
 	s.all = append(s.all, o.all...)
-	s.mice = append(s.mice, o.mice...)
+	s.allSorted = false
+	if len(o.mice) > 0 {
+		s.mice = append(s.mice, o.mice...)
+		s.miceSorted = false
+	}
 }
 
 // Count returns the number of completed flows (all classes).
@@ -57,13 +65,22 @@ func (s *FCTStats) Count() int { return len(s.all) }
 // MiceCount returns the number of completed mice flows.
 func (s *FCTStats) MiceCount() int { return len(s.mice) }
 
-func (s *FCTStats) sort() {
-	if s.sorted {
-		return
+// sortedAll returns all-flow samples in ascending order.
+func (s *FCTStats) sortedAll() []sim.Duration {
+	if !s.allSorted {
+		slices.Sort(s.all)
+		s.allSorted = true
 	}
-	sort.Slice(s.all, func(i, j int) bool { return s.all[i] < s.all[j] })
-	sort.Slice(s.mice, func(i, j int) bool { return s.mice[i] < s.mice[j] })
-	s.sorted = true
+	return s.all
+}
+
+// sortedMice returns mice-flow samples in ascending order.
+func (s *FCTStats) sortedMice() []sim.Duration {
+	if !s.miceSorted {
+		slices.Sort(s.mice)
+		s.miceSorted = true
+	}
+	return s.mice
 }
 
 func percentile(xs []sim.Duration, p float64) sim.Duration {
@@ -92,10 +109,10 @@ func mean(xs []sim.Duration) sim.Duration {
 }
 
 // P returns the p-th percentile FCT over all flows.
-func (s *FCTStats) P(p float64) sim.Duration { s.sort(); return percentile(s.all, p) }
+func (s *FCTStats) P(p float64) sim.Duration { return percentile(s.sortedAll(), p) }
 
 // MiceP returns the p-th percentile FCT over mice flows.
-func (s *FCTStats) MiceP(p float64) sim.Duration { s.sort(); return percentile(s.mice, p) }
+func (s *FCTStats) MiceP(p float64) sim.Duration { return percentile(s.sortedMice(), p) }
 
 // Mean returns the mean FCT over all flows.
 func (s *FCTStats) Mean() sim.Duration { return mean(s.all) }
@@ -104,7 +121,7 @@ func (s *FCTStats) Mean() sim.Duration { return mean(s.all) }
 func (s *FCTStats) MiceMean() sim.Duration { return mean(s.mice) }
 
 // Max returns the largest recorded FCT.
-func (s *FCTStats) Max() sim.Duration { s.sort(); return percentile(s.all, 100) }
+func (s *FCTStats) Max() sim.Duration { return percentile(s.sortedAll(), 100) }
 
 // CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {
@@ -115,8 +132,7 @@ type CDFPoint struct {
 // MiceCDF returns an empirical CDF of mice-flow FCTs sampled at up to
 // points evenly spaced quantiles (paper Figure 6).
 func (s *FCTStats) MiceCDF(points int) []CDFPoint {
-	s.sort()
-	return cdf(s.mice, points)
+	return cdf(s.sortedMice(), points)
 }
 
 func cdf(xs []sim.Duration, points int) []CDFPoint {

@@ -8,7 +8,8 @@ package metrics
 
 import "negotiator/internal/sim"
 
-// Samples exposes the raw recorded FCT samples in recording order.
+// Samples exposes the raw recorded FCT samples: in recording order until
+// an order statistic sorts a class in place.
 func (s *FCTStats) Samples() (all, mice []sim.Duration) { return s.all, s.mice }
 
 // RestoreSamples replaces the recorded samples. The sort cache resets, so
@@ -17,7 +18,7 @@ func (s *FCTStats) Samples() (all, mice []sim.Duration) { return s.all, s.mice }
 func (s *FCTStats) RestoreSamples(all, mice []sim.Duration) {
 	s.all = append(s.all[:0], all...)
 	s.mice = append(s.mice[:0], mice...)
-	s.sorted = false
+	s.allSorted, s.miceSorted = false, false
 }
 
 // PerToR exposes the per-destination delivered byte counts.

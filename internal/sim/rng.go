@@ -8,7 +8,7 @@ import "math"
 // reproducible regardless of iteration order and independent of math/rand
 // version changes.
 //
-// The zero value is not usable; construct with NewRNG.
+// The zero value is not usable; construct with NewRNG or call Seed.
 type RNG struct {
 	s [4]uint64
 }
@@ -17,6 +17,14 @@ type RNG struct {
 // independent streams.
 func NewRNG(seed int64) *RNG {
 	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the stream NewRNG(seed) returns, so a component that
+// draws from many short-lived streams can reuse one RNG value instead of
+// allocating a generator per stream.
+func (r *RNG) Seed(seed int64) {
 	x := uint64(seed)
 	for i := range r.s {
 		// splitmix64 step.
@@ -26,7 +34,6 @@ func NewRNG(seed int64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
 // Split returns a new independent generator derived from r's stream,

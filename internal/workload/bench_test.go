@@ -26,3 +26,13 @@ func BenchmarkCDFSample(b *testing.B) {
 		d.Sample(rng)
 	}
 }
+
+// BenchmarkIncastMixNext measures the incast pump of the paper's Figure 13a
+// mix (degree-20 events of 1 KB flows at 128 ToRs).
+func BenchmarkIncastMixNext(b *testing.B) {
+	g := NewIncastMix(128, 20, 1000, 0.02, sim.Gbps(400), 1, 9)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.Next()
+	}
+}

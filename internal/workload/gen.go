@@ -203,23 +203,11 @@ type Incast struct {
 // NewIncast builds the event. Sources are chosen deterministically from
 // seed among all ToRs except dst.
 func NewIncast(n, dst, degree int, size int64, t sim.Time, tag int, seed int64) (*Incast, error) {
-	if degree > n-1 {
-		return nil, fmt.Errorf("workload: incast degree %d exceeds n-1=%d", degree, n-1)
+	var ev incastEvent
+	if err := ev.fill(n, dst, degree, size, t, tag, seed); err != nil {
+		return nil, err
 	}
-	rng := sim.NewRNG(seed)
-	perm := make([]int, n)
-	rng.Perm(perm)
-	ev := &Incast{}
-	for _, src := range perm {
-		if src == dst {
-			continue
-		}
-		ev.arrivals = append(ev.arrivals, Arrival{Time: t, Src: src, Dst: dst, Size: size, Tag: tag})
-		if len(ev.arrivals) == degree {
-			break
-		}
-	}
-	return ev, nil
+	return &Incast{arrivals: ev.arrivals}, nil
 }
 
 func (g *Incast) Next() (Arrival, bool) {
@@ -229,6 +217,40 @@ func (g *Incast) Next() (Arrival, bool) {
 	a := g.arrivals[g.pos]
 	g.pos++
 	return a, true
+}
+
+// incastEvent is the scratch one incast event is built in: the event's
+// RNG, the source permutation and the arrivals. IncastMix refills one
+// value for every event, so its steady state allocates nothing.
+type incastEvent struct {
+	rng      sim.RNG
+	perm     []int
+	arrivals []Arrival
+}
+
+// fill replaces the arrivals with those of one event: the first degree
+// ToRs other than dst in a permutation of [0, n) drawn from seed.
+func (ev *incastEvent) fill(n, dst, degree int, size int64, t sim.Time, tag int, seed int64) error {
+	if degree > n-1 {
+		return fmt.Errorf("workload: incast degree %d exceeds n-1=%d", degree, n-1)
+	}
+	ev.rng.Seed(seed)
+	if cap(ev.perm) < n {
+		ev.perm = make([]int, n)
+	}
+	ev.perm = ev.perm[:n]
+	ev.rng.Perm(ev.perm)
+	ev.arrivals = ev.arrivals[:0]
+	for _, src := range ev.perm {
+		if src == dst {
+			continue
+		}
+		ev.arrivals = append(ev.arrivals, Arrival{Time: t, Src: src, Dst: dst, Size: size, Tag: tag})
+		if len(ev.arrivals) == degree {
+			break
+		}
+	}
+	return nil
 }
 
 // AllToAll generates the synchronous all-to-all workload: at time t each
@@ -298,7 +320,7 @@ type IncastMix struct {
 	rng      *sim.RNG
 	nextTime sim.Time
 	tag      int
-	pending  []Arrival
+	ev       incastEvent // the current event, refilled in place
 	pos      int
 }
 
@@ -320,19 +342,17 @@ func NewIncastMix(n, degree int, size int64, bwFraction float64, hostRate sim.Ra
 }
 
 func (g *IncastMix) Next() (Arrival, bool) {
-	if g.pos >= len(g.pending) {
+	if g.pos >= len(g.ev.arrivals) {
 		// Synthesise the next event.
 		dst := g.rng.Intn(g.n)
-		ev, err := NewIncast(g.n, dst, g.degree, g.size, g.nextTime, g.tag, int64(g.rng.Uint64()))
-		if err != nil {
+		if err := g.ev.fill(g.n, dst, g.degree, g.size, g.nextTime, g.tag, int64(g.rng.Uint64())); err != nil {
 			return Arrival{}, false
 		}
-		g.pending = ev.arrivals
 		g.pos = 0
 		g.tag++
 		g.nextTime = g.nextTime.Add(g.rng.ExpDuration(g.mean))
 	}
-	a := g.pending[g.pos]
+	a := g.ev.arrivals[g.pos]
 	g.pos++
 	return a, true
 }

@@ -370,3 +370,50 @@ func TestSnapshotGroupedFlows(t *testing.T) {
 		}
 	})
 }
+
+// TestRestoreAfterWorkloadExhausted: a checkpoint taken rounds after a
+// finite generator ran dry must restore. The pump stops pulling an
+// exhausted generator, so the recorded draw count is one the replay can
+// reach; the restored run then finishes exactly like the uninterrupted
+// one.
+func TestRestoreAfterWorkloadExhausted(t *testing.T) {
+	for _, plane := range []negotiator.ControlPlaneKind{negotiator.NegotiaToRPlane, negotiator.ObliviousPlane, negotiator.HybridPlane} {
+		t.Run(plane.String(), func(t *testing.T) {
+			spec := negotiator.SmallSpec()
+			spec.ControlPlane = plane
+			gen := func() negotiator.Workload {
+				w, err := negotiator.PermutationWorkload(spec, 4, 1<<20, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w
+			}
+			build := func() negotiator.Fabric {
+				fab, err := spec.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fab.SetWorkload(gen())
+				return fab
+			}
+			const snapAt, epochs = 2, 200
+			whole := build()
+			whole.RunEpochs(epochs)
+
+			fab := build()
+			fab.RunEpochs(snapAt)
+			var buf bytes.Buffer
+			if err := fab.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			restored := build()
+			if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatalf("restore at epoch %d: %v", snapAt, err)
+			}
+			restored.RunEpochs(epochs - snapAt)
+			if got, want := restored.Summary(), whole.Summary(); got != want {
+				t.Errorf("restored run diverges from uninterrupted\n got: %+v\nwant: %+v", got, want)
+			}
+		})
+	}
+}
