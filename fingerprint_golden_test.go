@@ -133,6 +133,14 @@ func fingerprint(t *testing.T, spec negotiator.Spec) string {
 	return shardRun(t, spec, 1, 120, 0.7)
 }
 
+// builtFingerprint is fingerprint over a fabric made by the given build
+// function.
+func builtFingerprint(t *testing.T, spec negotiator.Spec, build func(negotiator.Spec) (negotiator.Fabric, error)) string {
+	t.Helper()
+	spec.Workers = 1
+	return builtRun(t, spec, build, 120, 0.7)
+}
+
 // TestFingerprintGolden compares every combination's sequential run
 // against the recorded goldens. Worker-count equivalence (workers=16
 // reproducing these fingerprints byte for byte) is pinned by the

@@ -54,8 +54,9 @@ type ControlPlane interface {
 }
 
 // RoundChecker is optionally implemented by control planes with
-// per-round invariants (byte conservation, match conflict-freedom); the
-// core calls it after each round's serial merge.
+// per-round invariants of their own (match conflict-freedom, relay
+// counters); under Config.CheckInvariants the core calls it after each
+// round's serial merge and its own conservation and occupancy checks.
 type RoundChecker interface {
 	CheckRound()
 }
@@ -69,27 +70,60 @@ type TagStat struct {
 	Done  int
 }
 
-// Config assembles a core. Workers is the EFFECTIVE shard parallelism:
-// control planes resolve their own clamping rules (sequential-only
-// features, matcher shardability) before building the core.
+// Config carries the settings every control plane hands the core
+// unchanged; each plane's own config embeds it, so a caller fills it once
+// whatever plane it builds. Planes may still adjust a field before
+// building the core: Workers must be the EFFECTIVE shard parallelism by
+// then (control planes resolve their own clamping rules — sequential-only
+// features, matcher shardability — first), and a plane that cannot model
+// a feature clears it.
 type Config struct {
 	// Topology is the optical fabric layout (required).
 	Topology topo.Topology
 	// HostRate is the per-ToR host aggregate bandwidth, for goodput
 	// normalisation and receiver-buffer drain modelling.
 	HostRate sim.Rate
-	// Workers is the effective shard count (clamped to the ToR count;
-	// values < 1 mean sequential).
+	// Workers is the shard count (clamped to the ToR count; values < 1
+	// mean sequential).
 	Workers int
-	// Seed seeds the core RNG (ignored when RNG is set).
+	// Seed seeds the core RNG (ignored when Layout.RNG is set).
 	Seed int64
+	// PriorityQueues enables PIAS-style multi-level queues in every
+	// DestQueue the core allocates.
+	PriorityQueues bool
+	// Failures optionally injects link failures: the core owns the actual
+	// and known link-state snapshots, advances them by event-transition
+	// cursor at each round start, and requeues detected losses before the
+	// control plane's phases run. Planes read the snapshots through
+	// ActualFailures/KnownFailures — known state excludes links from
+	// scheduling, actual state destroys bits at transmission choke points.
+	Failures *failure.Plan
+	// CheckInvariants runs the per-round assertions after each serial
+	// merge: byte conservation (with the loss-record identities under
+	// failures), occupancy-index exactness, then the plane's own
+	// RoundChecker. Costs O(N²) per round; tests turn it on.
+	CheckInvariants bool
+	// OnDeliver, when set, observes every payload delivery at its
+	// destination.
+	OnDeliver func(dst int, at sim.Time, n int64)
+	// TrackReceiverBuffers models receiver-side ToR-to-host drain buffers
+	// and reports their peak occupancy.
+	TrackReceiverBuffers bool
+	// DisableEventSkip forces the run loop to tick every round even when
+	// the fabric is provably idle and the plane implements IdlePlane.
+	// Results are byte-identical either way; the knob exists for A/B
+	// benchmarks and the skip-equivalence tests.
+	DisableEventSkip bool
+}
+
+// Layout is the node-state shape and randomness a control plane needs.
+// The plane decides it, not the caller, and passes it to New next to the
+// caller's Config.
+type Layout struct {
 	// RNG optionally supplies the randomness stream directly, for control
 	// planes that must interleave their own draws with the core's (the
 	// stream is shared, so ownership passes to the core).
 	RNG *sim.RNG
-	// PriorityQueues enables PIAS-style multi-level queues in every
-	// DestQueue the core allocates.
-	PriorityQueues bool
 	// Lanes allocates the per-ToR secondary VOQ set (VLB spray lanes,
 	// hybrid mice queues).
 	Lanes bool
@@ -98,23 +132,6 @@ type Config struct {
 	// CumInjected tracks cumulative injected bytes per destination
 	// (consumed by the stateful matcher's queue view).
 	CumInjected bool
-	// OnDeliver, when set, observes every payload delivery at its
-	// destination.
-	OnDeliver func(dst int, at sim.Time, n int64)
-	// TrackReceiverBuffers models receiver-side ToR-to-host drain buffers
-	// and reports their peak occupancy.
-	TrackReceiverBuffers bool
-	// Failures optionally injects link failures: the core owns the actual
-	// and known link-state snapshots, advances them by event-transition
-	// cursor at each round start, and requeues detected losses before the
-	// control plane's phases run. Planes read the snapshots through
-	// ActualFailures/KnownFailures — known state excludes links from
-	// scheduling, actual state destroys bits at transmission choke points.
-	Failures *failure.Plan
-	// DisableEventSkip forces the run loop to tick every round even when
-	// the fabric is provably idle and the plane implements IdlePlane —
-	// the cross-check knob skip-on == skip-off equality tests flip.
-	DisableEventSkip bool
 }
 
 // Core is the shared fabric substrate. Exported fields are the stable
@@ -145,6 +162,7 @@ type Core struct {
 
 	plane    ControlPlane
 	check    RoundChecker
+	checkOn  bool
 	roundLen sim.Duration
 	gang     *par.Gang
 	now      sim.Time
@@ -194,9 +212,9 @@ type Core struct {
 	pagePool queue.PagePool
 }
 
-// New builds a core. Bind must be called with the control plane before
-// the run loop is used.
-func New(cfg Config) (*Core, error) {
+// New builds a core with the plane's layout. Bind must be called with the
+// control plane before the run loop is used.
+func New(cfg Config, lay Layout) (*Core, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("fabric: nil topology")
 	}
@@ -208,8 +226,9 @@ func New(cfg Config) (*Core, error) {
 		N:         cfg.Topology.N(),
 		S:         cfg.Topology.Ports(),
 		Tags:      make(map[int]*TagStat),
-		RNG:       cfg.RNG,
+		RNG:       lay.RNG,
 		OnDeliver: cfg.OnDeliver,
+		checkOn:   cfg.CheckInvariants,
 	}
 	if c.RNG == nil {
 		c.RNG = sim.NewRNG(cfg.Seed)
@@ -221,9 +240,9 @@ func New(cfg Config) (*Core, error) {
 	spec := &nodeSpec{
 		n:           c.N,
 		priority:    cfg.PriorityQueues,
-		lanes:       cfg.Lanes,
-		relay:       cfg.Relay,
-		cumInjected: cfg.CumInjected,
+		lanes:       lay.Lanes,
+		relay:       lay.Relay,
+		cumInjected: lay.CumInjected,
 	}
 	c.Nodes = make([]*Node, c.N)
 	for i := range c.Nodes {
@@ -337,6 +356,9 @@ func (c *Core) SetWorkload(g workload.Generator) {
 	c.nextCalls = 0
 }
 
+// RoundLen returns the bound plane's round duration.
+func (c *Core) RoundLen() sim.Duration { return c.roundLen }
+
 // Now returns the current simulated time (start of the next round).
 func (c *Core) Now() sim.Time { return c.now }
 
@@ -368,8 +390,8 @@ func (c *Core) RunRound() {
 	}
 	c.plane.Round()
 	c.mergeRound()
-	if c.check != nil {
-		c.check.CheckRound()
+	if c.checkOn {
+		c.checkRound()
 	}
 	c.rounds++
 	c.now = c.now.Add(c.roundLen)
@@ -652,8 +674,9 @@ func (c *Core) QueuedInNodes() int64 {
 // CheckOccupancy asserts every node's occupancy indexes and per-queue
 // and per-page aggregate counters exactly mirror the queue
 // contents — the invariant the choke points maintain — and that
-// unmaterialized slabs report empty/zero everywhere. Engines run it per
-// round under CheckInvariants; it costs O(N²), like the ledger check.
+// unmaterialized slabs report empty/zero everywhere. The core runs it per
+// round under Config.CheckInvariants; it costs O(N²), like the ledger
+// check.
 func (c *Core) CheckOccupancy() {
 	for i, nd := range c.Nodes {
 		nd.checkOccupancy(i)
@@ -699,6 +722,20 @@ func (c *Core) CheckOccupancy() {
 				panic(fmt.Sprintf("fabric: shard %d relay-dst count %d, index holds %d members", sh.K, sh.relDst.count, members))
 			}
 		}
+	}
+}
+
+// checkRound runs the CheckInvariants assertions after a round's merge:
+// the core's byte conservation and occupancy exactness, then the plane's.
+func (c *Core) checkRound() {
+	if c.failPlan != nil {
+		c.CheckConservation() // ledger check plus loss-record identities
+	} else if err := c.Ledger.Check(c.QueuedInNodes()); err != nil {
+		panic(err)
+	}
+	c.CheckOccupancy()
+	if c.check != nil {
+		c.check.CheckRound()
 	}
 }
 

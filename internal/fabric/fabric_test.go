@@ -42,7 +42,7 @@ func testCore(t *testing.T, g workload.Generator, serve int64) (*Core, *testPlan
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{Topology: top, HostRate: sim.Gbps(400)})
+	c, err := New(Config{Topology: top, HostRate: sim.Gbps(400)}, Layout{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestChokePointsMaintainIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{Topology: top, PriorityQueues: true, Lanes: true, Relay: true})
+	c, err := New(Config{Topology: top, PriorityQueues: true}, Layout{Lanes: true, Relay: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestLazyNodesReportEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{Topology: top, PriorityQueues: true, Lanes: true, Relay: true, CumInjected: true})
+	c, err := New(Config{Topology: top, PriorityQueues: true}, Layout{Lanes: true, Relay: true, CumInjected: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func failCore(t *testing.T) *Core {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{Topology: top, HostRate: sim.Gbps(400), Lanes: true, Relay: true})
+	c, err := New(Config{Topology: top, HostRate: sim.Gbps(400)}, Layout{Lanes: true, Relay: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestCoreOwnsFailureState(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := failure.Single([]failure.Link{{ToR: 0, Port: 0}}, 250, 1<<40, 300)
-	c, err := New(Config{Topology: top, HostRate: sim.Gbps(400), Failures: plan})
+	c, err := New(Config{Topology: top, HostRate: sim.Gbps(400), Failures: plan}, Layout{})
 	if err != nil {
 		t.Fatal(err)
 	}

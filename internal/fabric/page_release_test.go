@@ -90,7 +90,7 @@ func TestUnmaterializedPageResiduePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{Topology: top, HostRate: sim.Gbps(400)})
+	c, err := New(Config{Topology: top, HostRate: sim.Gbps(400)}, Layout{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,24 +34,24 @@ func TestFailureConservation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 7))
-				e.Run(60 * sim.Microsecond)
-				e.SetWorkload(nil)
-				if !e.Drain(50_000) {
+				e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 7))
+				e.fab.Run(60 * sim.Microsecond)
+				e.fab.SetWorkload(nil)
+				if !e.fab.Drain(50_000) {
 					t.Fatal("fabric did not drain after recovery")
 				}
-				r := e.Results()
-				if r.LostBytes <= 0 {
+				r := e.fab
+				if r.Lost <= 0 {
 					t.Error("no bytes destroyed despite 20% links down mid-run")
 				}
 				if e.fab.Ledger.Lost != 0 {
 					t.Errorf("%d bytes still lost after recovery + drain", e.fab.Ledger.Lost)
 				}
-				if r.Delivered != r.Injected {
-					t.Errorf("delivered %d of %d injected", r.Delivered, r.Injected)
+				if r.Ledger.Delivered != r.Ledger.Injected {
+					t.Errorf("delivered %d of %d injected", r.Ledger.Delivered, r.Ledger.Injected)
 				}
-				if e.fab.Requeued() != r.LostBytes {
-					t.Errorf("requeued %d != destroyed %d after full drain", e.fab.Requeued(), r.LostBytes)
+				if e.fab.Requeued() != r.Lost {
+					t.Errorf("requeued %d != destroyed %d after full drain", e.fab.Requeued(), r.Lost)
 				}
 			})
 		}
@@ -70,11 +70,11 @@ func TestFailureDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 7))
-		e.Run(60 * sim.Microsecond)
-		r := e.Results()
+		e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 7))
+		e.fab.Run(60 * sim.Microsecond)
+		r := e.fab
 		return fmt.Sprintf("inj=%d del=%d lost=%d match=%v fct99=%v mice=%v cdf=%v",
-			r.Injected, r.Delivered, r.LostBytes, r.MatchRatio.Mean(), r.FCT.P(99), r.FCT.MiceMean(), r.FCT.MiceCDF(16))
+			r.Ledger.Injected, r.Ledger.Delivered, r.Lost, e.matchRatio.Mean(), r.MergedFCT().P(99), r.MergedFCT().MiceMean(), r.MergedFCT().MiceCDF(16))
 	}
 	want := fingerprint(1)
 	for _, workers := range []int{2, 4, 8, 16} {
@@ -93,18 +93,18 @@ func TestZeroDetectDelayNoLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 7))
-	e.Run(60 * sim.Microsecond)
-	e.SetWorkload(nil)
-	if !e.Drain(50_000) {
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 7))
+	e.fab.Run(60 * sim.Microsecond)
+	e.fab.SetWorkload(nil)
+	if !e.fab.Drain(50_000) {
 		t.Fatal("fabric did not drain")
 	}
-	r := e.Results()
-	if r.LostBytes != 0 {
-		t.Errorf("instant detection still destroyed %d bytes", r.LostBytes)
+	r := e.fab
+	if r.Lost != 0 {
+		t.Errorf("instant detection still destroyed %d bytes", r.Lost)
 	}
-	if r.Delivered != r.Injected {
-		t.Errorf("delivered %d of %d", r.Delivered, r.Injected)
+	if r.Ledger.Delivered != r.Ledger.Injected {
+		t.Errorf("delivered %d of %d", r.Ledger.Delivered, r.Ledger.Injected)
 	}
 }
 
@@ -119,17 +119,17 @@ func TestPortGroupScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 7))
-	e.Run(60 * sim.Microsecond)
-	e.SetWorkload(nil)
-	if !e.Drain(50_000) {
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 7))
+	e.fab.Run(60 * sim.Microsecond)
+	e.fab.SetWorkload(nil)
+	if !e.fab.Drain(50_000) {
 		t.Fatal("fabric did not drain after the AWGR recovered")
 	}
-	r := e.Results()
-	if r.LostBytes <= 0 {
+	r := e.fab
+	if r.Lost <= 0 {
 		t.Error("port-group outage destroyed nothing")
 	}
-	if r.Delivered != r.Injected {
-		t.Errorf("delivered %d of %d after recovery", r.Delivered, r.Injected)
+	if r.Ledger.Delivered != r.Ledger.Injected {
+		t.Errorf("delivered %d of %d after recovery", r.Ledger.Delivered, r.Ledger.Injected)
 	}
 }

@@ -30,76 +30,37 @@ import (
 	"negotiator/internal/negotiator"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
-	"negotiator/internal/workload"
 )
 
-// Config assembles the hybrid fabric. The epoch geometry reuses
+// Config assembles the hybrid fabric: the settings every plane hands the
+// fabric core plus the hybrid's own. The epoch geometry reuses
 // negotiator.Timing (predefined round-robin phase + scheduled phase).
+//
+// PriorityQueues applies PIAS levels inside both VOQ sets (mice queues
+// still benefit: a 1 KB flow's first bytes overtake a 9 KB one's tail).
+// Failures expose both traffic classes: mice riding a known-down
+// predefined pair are held for a later rotation, elephants lose the
+// match's port; links down but not yet detected destroy the bytes sent
+// across them, requeued on detection (mice back into their mice queue,
+// elephants into their VOQ). The idealised same-epoch
+// request/grant/accept exchange itself is assumed reliable — only the
+// data plane degrades, an upper bound matching the engine's
+// instant-control-plane idealisation. OnDeliver and TrackReceiverBuffers
+// clamp Workers to 1 (globally ordered delivery observation).
 type Config struct {
-	Topology topo.Topology
+	fabric.Config
 	// Timing is the epoch structure; zero value means
 	// negotiator.DefaultTiming.
 	Timing negotiator.Timing
-	// HostRate is the per-ToR host aggregate, for goodput normalisation.
-	HostRate sim.Rate
-	// PriorityQueues enables PIAS levels inside both VOQ sets (mice
-	// queues still benefit: a 1 KB flow's first bytes overtake a 9 KB
-	// one's tail).
-	PriorityQueues bool
 	// MiceBytes is the mice/elephant split threshold; zero means the
 	// paper's 10 KB mice bound.
 	MiceBytes int64
-	// Seed drives the matcher's ring randomness.
-	Seed int64
-	// Failures optionally injects link failures (owned and advanced by the
-	// fabric core). Both traffic classes are exposed: mice riding a
-	// known-down predefined pair are held for a later rotation, elephants
-	// lose the match's port; links down but not yet detected destroy the
-	// bytes sent across them, requeued on detection (mice back into their
-	// mice queue, elephants into their VOQ). The idealised same-epoch
-	// request/grant/accept exchange itself is assumed reliable — only the
-	// data plane degrades, an upper bound matching the engine's
-	// instant-control-plane idealisation.
-	Failures *failure.Plan
-	// CheckInvariants enables per-epoch byte-conservation assertions.
-	CheckInvariants bool
-	// DisableEventSkip forces the run loop to tick every epoch even when
-	// the fabric is provably idle. Results are byte-identical either way;
-	// the knob exists for A/B benchmarks and equivalence tests.
-	DisableEventSkip bool
 	// DisableIncremental forces a from-scratch elephant REQUEST sweep
 	// every epoch instead of replaying the demand-versioned request cache
 	// of sources whose elephant VOQs did not change. Byte-identical either
-	// way; for A/B benchmarks and cache-equivalence tests.
+	// way; the from-scratch sweep is the reference the cache-equivalence
+	// tests compare against.
 	DisableIncremental bool
-	// OnDeliver, when set, observes every payload delivery at its
-	// destination (forces sequential execution, like the NegotiaToR
-	// engine).
-	OnDeliver func(dst int, at sim.Time, n int64)
-	// TrackReceiverBuffers models the receiver-side ToR-to-host buffers
-	// and reports their peak occupancy (forces sequential execution).
-	TrackReceiverBuffers bool
-	// Workers is the intra-run shard parallelism (results identical at
-	// any value; capped at the ToR count, clamped to 1 when OnDeliver or
-	// TrackReceiverBuffers needs globally ordered delivery).
-	Workers int
-}
-
-// Results mirrors the other engines' summaries.
-type Results struct {
-	FCT        *metrics.FCTStats
-	Goodput    *metrics.Goodput
-	MatchRatio *metrics.Ratio
-	Tags       map[int]*fabric.TagStat
-	Duration   sim.Duration
-	EpochLen   sim.Duration
-	Epochs     int64
-	Injected   int64
-	Delivered  int64
-	LostBytes  int64 // bytes destroyed by failures (before requeue), cumulative
-	// PeakReceiverBuffer is the largest receiver-side backlog; zero
-	// unless TrackReceiverBuffers is set.
-	PeakReceiverBuffer int64
 }
 
 // Engine is the hybrid control plane: mice on the oblivious round-robin
@@ -227,9 +188,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Timing == (negotiator.Timing{}) {
 		cfg.Timing = negotiator.DefaultTiming()
 	}
-	if cfg.HostRate == 0 {
-		cfg.HostRate = sim.Gbps(400)
-	}
 	if cfg.MiceBytes == 0 {
 		cfg.MiceBytes = metrics.MiceFlowBytes
 	}
@@ -254,22 +212,12 @@ func New(cfg Config) (*Engine, error) {
 	if e.incremental {
 		e.caches = make([]reqCache, e.n)
 	}
-	workers := cfg.Workers
+	fc := cfg.Config
 	if cfg.OnDeliver != nil || cfg.TrackReceiverBuffers {
-		workers = 1 // globally ordered delivery observation
+		fc.Workers = 1 // globally ordered delivery observation
 	}
-	fab, err := fabric.New(fabric.Config{
-		Topology:             cfg.Topology,
-		HostRate:             cfg.HostRate,
-		Workers:              workers,
-		RNG:                  rng,
-		PriorityQueues:       cfg.PriorityQueues,
-		Lanes:                true, // Lanes[dst] = mice VOQs
-		OnDeliver:            cfg.OnDeliver,
-		TrackReceiverBuffers: cfg.TrackReceiverBuffers,
-		Failures:             cfg.Failures,
-		DisableEventSkip:     cfg.DisableEventSkip,
-	})
+	// Lanes[dst] = mice VOQs.
+	fab, err := fabric.New(fc, fabric.Layout{RNG: rng, Lanes: true})
 	if err != nil {
 		return nil, err
 	}
@@ -329,34 +277,18 @@ func (e *Engine) admit(f *flows.Flow, at sim.Time) {
 	nd.PushDirect(f.Dst, f, at)
 }
 
-func (e *Engine) Name() string                     { return "hybrid" }
-func (e *Engine) RoundLen() sim.Duration           { return e.epochLn }
-func (e *Engine) EpochLen() sim.Duration           { return e.epochLn }
-func (e *Engine) Now() sim.Time                    { return e.fab.Now() }
-func (e *Engine) Workers() int                     { return e.fab.Workers }
-func (e *Engine) SetWorkload(g workload.Generator) { e.fab.SetWorkload(g) }
-func (e *Engine) Run(d sim.Duration)               { e.fab.Run(d) }
-func (e *Engine) RunEpochs(k int)                  { e.fab.RunRounds(k) }
-func (e *Engine) runEpoch()                        { e.fab.RunRound() }
-func (e *Engine) Drain(maxEpochs int) bool         { return e.fab.Drain(maxEpochs) }
+// Core returns the fabric core the engine drives.
+func (e *Engine) Core() *fabric.Core { return e.fab }
 
-// Results snapshots the run's measurements (idempotent, worker-count
-// independent — see fabric.Core).
-func (e *Engine) Results() Results {
-	return Results{
-		FCT:                e.fab.MergedFCT(),
-		Goodput:            e.fab.MergedGoodput(),
-		MatchRatio:         &e.matchRatio,
-		Tags:               e.fab.Tags,
-		Duration:           sim.Duration(e.fab.Now()),
-		EpochLen:           e.epochLn,
-		Epochs:             e.fab.Rounds(),
-		Injected:           e.fab.Ledger.Injected,
-		Delivered:          e.fab.Ledger.Delivered,
-		LostBytes:          e.fab.Lost,
-		PeakReceiverBuffer: e.fab.PeakReceiverBuffer(),
-	}
-}
+// Name identifies the control plane.
+func (e *Engine) Name() string { return "hybrid" }
+
+// RoundLen implements fabric.ControlPlane: one round is one epoch.
+func (e *Engine) RoundLen() sim.Duration { return e.epochLn }
+
+// MatchRatio returns the elephant accept/grant ratio series (one per
+// epoch) the facade reports as Summary.MatchRatio and MatchRatioSeries.
+func (e *Engine) MatchRatio() *metrics.Ratio { return &e.matchRatio }
 
 // Round implements fabric.ControlPlane: one epoch as three barrier
 // phases — REQUEST emission, GRANT over merged requests, ACCEPT over
@@ -385,19 +317,6 @@ func (e *Engine) Round() {
 // core's precondition) every future epoch is a no-op until new bytes
 // arrive.
 func (e *Engine) IdleHorizon() sim.Time { return fabric.HorizonInfinite }
-
-// CheckRound implements fabric.RoundChecker when invariant checking is on.
-func (e *Engine) CheckRound() {
-	if !e.cfg.CheckInvariants {
-		return
-	}
-	if e.cfg.Failures != nil {
-		e.fab.CheckConservation() // ledger check plus loss-record identities
-	} else if err := e.fab.Ledger.Check(e.fab.QueuedInNodes()); err != nil {
-		panic(err)
-	}
-	e.fab.CheckOccupancy()
-}
 
 // initEmitters prebuilds the per-shard closures so the steady-state epoch
 // performs no heap allocation.
@@ -628,6 +547,5 @@ func (sh *hyShard) transmitStep() {
 // Compile-time interface checks.
 var (
 	_ fabric.ControlPlane = (*Engine)(nil)
-	_ fabric.RoundChecker = (*Engine)(nil)
 	_ fabric.IdlePlane    = (*Engine)(nil)
 )

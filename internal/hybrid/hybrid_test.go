@@ -3,6 +3,7 @@ package hybrid
 import (
 	"testing"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
@@ -15,10 +16,12 @@ func testConfig(t testing.TB, tors, ports int) Config {
 		t.Fatal(err)
 	}
 	return Config{
-		Topology:        top,
-		HostRate:        sim.Gbps(200),
-		PriorityQueues:  true,
-		CheckInvariants: true,
+		Config: fabric.Config{
+			Topology:        top,
+			HostRate:        sim.Gbps(200),
+			PriorityQueues:  true,
+			CheckInvariants: true,
+		},
 	}
 }
 
@@ -29,19 +32,19 @@ func TestMiceNeverNegotiate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewAllToAll(16, 8<<10, 0)) // 8 KB: all mice
-	if !e.Drain(100_000) {
+	e.fab.SetWorkload(workload.NewAllToAll(16, 8<<10, 0)) // 8 KB: all mice
+	if !e.fab.Drain(100_000) {
 		t.Fatal("mice failed to drain over the round-robin schedule")
 	}
-	r := e.Results()
-	if r.MatchRatio.Len() == 0 {
+	r := e.fab
+	if e.matchRatio.Len() == 0 {
 		t.Fatal("no epochs observed")
 	}
-	if got := r.MatchRatio.Mean(); got != 0 {
+	if got := e.matchRatio.Mean(); got != 0 {
 		t.Errorf("mice-only run produced match activity (ratio %v)", got)
 	}
-	if r.FCT.MiceCount() != 16*15 {
-		t.Errorf("mice completed = %d, want %d", r.FCT.MiceCount(), 16*15)
+	if r.MergedFCT().MiceCount() != 16*15 {
+		t.Errorf("mice completed = %d, want %d", r.MergedFCT().MiceCount(), 16*15)
 	}
 }
 
@@ -53,18 +56,18 @@ func TestElephantsNeverRideRoundRobin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewAllToAll(16, 64<<10, 0)) // 64 KB: all elephants
-	if !e.Drain(100_000) {
+	e.fab.SetWorkload(workload.NewAllToAll(16, 64<<10, 0)) // 64 KB: all elephants
+	if !e.fab.Drain(100_000) {
 		t.Fatal("elephants failed to drain")
 	}
-	r := e.Results()
-	if r.FCT.Count() != 16*15 {
-		t.Errorf("flows completed = %d, want %d", r.FCT.Count(), 16*15)
+	r := e.fab
+	if r.MergedFCT().Count() != 16*15 {
+		t.Errorf("flows completed = %d, want %d", r.MergedFCT().Count(), 16*15)
 	}
-	if r.FCT.MiceCount() != 0 {
-		t.Errorf("mice count = %d for an elephant-only workload", r.FCT.MiceCount())
+	if r.MergedFCT().MiceCount() != 0 {
+		t.Errorf("mice count = %d for an elephant-only workload", r.MergedFCT().MiceCount())
 	}
-	if ratio := r.MatchRatio.Mean(); ratio <= 0 {
+	if ratio := e.matchRatio.Mean(); ratio <= 0 {
 		t.Errorf("match ratio %v: elephants must negotiate", ratio)
 	}
 }
@@ -82,16 +85,16 @@ func TestMiceFCTBoundedUnderElephantLoad(t *testing.T) {
 	}
 	elephants := workload.NewAllToAll(16, 4<<20, 0)
 	mouse := workload.NewSinglePair(3, 11, 500, sim.Time(50*sim.Microsecond))
-	e.SetWorkload(workload.NewMerge(elephants, mouse))
-	e.Run(200 * sim.Microsecond)
-	r := e.Results()
-	if r.FCT.MiceCount() != 1 {
-		t.Fatalf("mouse incomplete: %d mice done", r.FCT.MiceCount())
+	e.fab.SetWorkload(workload.NewMerge(elephants, mouse))
+	e.fab.Run(200 * sim.Microsecond)
+	r := e.fab
+	if r.MergedFCT().MiceCount() != 1 {
+		t.Fatalf("mouse incomplete: %d mice done", r.MergedFCT().MiceCount())
 	}
 	// One epoch's predefined slot plus propagation, rounded up to the
 	// epoch the mouse is injected into: comfortably under three epochs.
-	if limit := 3 * e.EpochLen(); r.FCT.MiceP(100) > limit {
-		t.Errorf("mouse FCT %v exceeds %v under elephant saturation", r.FCT.MiceP(100), limit)
+	if limit := 3 * e.epochLn; r.MergedFCT().MiceP(100) > limit {
+		t.Errorf("mouse FCT %v exceeds %v under elephant saturation", r.MergedFCT().MiceP(100), limit)
 	}
 }
 
@@ -104,12 +107,12 @@ func steadyEngine(tb testing.TB, warmupEpochs int) *Engine {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := New(Config{Topology: top, HostRate: sim.Gbps(400), PriorityQueues: true, Seed: 1})
+	e, err := New(Config{Config: fabric.Config{Topology: top, HostRate: sim.Gbps(400), PriorityQueues: true, Seed: 1}})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e.SetWorkload(workload.NewAllToAll(128, 1<<30, 0))
-	e.RunEpochs(warmupEpochs)
+	e.fab.SetWorkload(workload.NewAllToAll(128, 1<<30, 0))
+	e.fab.RunRounds(warmupEpochs)
 	if !e.fab.WorkloadDone() {
 		tb.Fatal("steady state not reached: workload not exhausted")
 	}
@@ -123,7 +126,7 @@ func TestEpochSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("paper-scale engine in -short mode")
 	}
 	e := steadyEngine(t, 700)
-	allocs := testing.AllocsPerRun(100, func() { e.runEpoch() })
+	allocs := testing.AllocsPerRun(100, func() { e.fab.RunRound() })
 	if allocs != 0 {
 		t.Errorf("steady-state hybrid epoch allocates %.1f objects/epoch, want 0", allocs)
 	}
@@ -136,6 +139,6 @@ func BenchmarkEpochSteadyStateHybrid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.fab.RunRound()
 	}
 }

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"fmt"
+	"negotiator/internal/fabric"
 	"testing"
 
 	"negotiator/internal/queue"
@@ -24,19 +25,21 @@ func TestOccupancyInvariant(t *testing.T) {
 					t.Fatal(err)
 				}
 				e, err := New(Config{
-					Topology:        top,
-					PriorityQueues:  pq,
-					Seed:            1,
-					CheckInvariants: true,
-					Workers:         workers,
+					Config: fabric.Config{
+						Topology:        top,
+						PriorityQueues:  pq,
+						Seed:            1,
+						CheckInvariants: true,
+						Workers:         workers,
+					},
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.9, sim.Gbps(400), 7))
-				e.RunEpochs(120)
-				e.SetWorkload(nil)
-				e.Drain(4000)
+				e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.9, sim.Gbps(400), 7))
+				e.fab.RunRounds(120)
+				e.fab.SetWorkload(nil)
+				e.fab.Drain(4000)
 			})
 		}
 	}
@@ -48,7 +51,7 @@ func TestOccupancyInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(Config{Topology: top, Seed: 1, CheckInvariants: true})
+		e, err := New(Config{Config: fabric.Config{Topology: top, Seed: 1, CheckInvariants: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,10 +59,10 @@ func TestOccupancyInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWorkload(perm)
-		e.RunEpochs(40)
-		e.SetWorkload(nil)
-		if !e.Drain(4000) {
+		e.fab.SetWorkload(perm)
+		e.fab.RunRounds(40)
+		e.fab.SetWorkload(nil)
+		if !e.fab.Drain(4000) {
 			t.Fatal("sparse permutation did not drain")
 		}
 		for i := 16; i < 64; i++ {
@@ -78,7 +81,7 @@ func TestOccupancyInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(Config{Topology: top, Seed: 1, CheckInvariants: true})
+		e, err := New(Config{Config: fabric.Config{Topology: top, Seed: 1, CheckInvariants: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,10 +89,10 @@ func TestOccupancyInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWorkload(perm)
-		e.RunEpochs(30)
-		e.SetWorkload(nil)
-		if !e.Drain(8000) {
+		e.fab.SetWorkload(perm)
+		e.fab.RunRounds(30)
+		e.fab.SetWorkload(nil)
+		if !e.fab.Drain(8000) {
 			t.Fatal("paged sparse permutation did not drain")
 		}
 		lastDst := 2*queue.PageSize - 1

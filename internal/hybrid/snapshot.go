@@ -2,20 +2,10 @@ package hybrid
 
 import (
 	"fmt"
-	"io"
 
 	"negotiator/internal/match"
 	"negotiator/internal/snap"
 )
-
-// Snapshot serializes the engine's complete state (fabric core plus this
-// control plane's PlaneState payload) at an epoch boundary.
-func (e *Engine) Snapshot(w io.Writer) error { return e.fab.Snapshot(w) }
-
-// Restore applies a snapshot to a freshly constructed engine of the same
-// configuration. SetWorkload (with an identically constructed generator)
-// must be called first; see fabric.Core.Restore.
-func (e *Engine) Restore(r io.Reader) error { return e.fab.Restore(r) }
 
 // PlaneState implements fabric.StatefulPlane. The hybrid plane's
 // idealised negotiation produces and consumes its single-generation

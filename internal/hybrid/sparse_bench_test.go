@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
@@ -22,9 +23,11 @@ func sparseEngine(tb testing.TB, n, active int) *Engine {
 		tb.Fatal(err)
 	}
 	e, err := New(Config{
-		Topology: top,
-		HostRate: sim.Gbps(400),
-		Seed:     1,
+		Config: fabric.Config{
+			Topology: top,
+			HostRate: sim.Gbps(400),
+			Seed:     1,
+		},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -33,8 +36,8 @@ func sparseEngine(tb testing.TB, n, active int) *Engine {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e.SetWorkload(perm)
-	e.RunEpochs(4)
+	e.fab.SetWorkload(perm)
+	e.fab.RunRounds(4)
 	if !e.fab.WorkloadDone() {
 		tb.Fatal("sparse steady state not reached: workload not exhausted")
 	}
@@ -48,7 +51,7 @@ func BenchmarkEpochSparse1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.fab.RunRound()
 	}
 }
 
@@ -59,7 +62,7 @@ func BenchmarkEpochSparse4096(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.fab.RunRound()
 	}
 }
 
@@ -80,7 +83,7 @@ func BenchmarkEpochSparse65536(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.fab.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(float64(total)/65536, "setup-bytes/ToR")

@@ -3,6 +3,7 @@ package negotiator
 import (
 	"testing"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
@@ -22,18 +23,20 @@ func benchEngine(b *testing.B, kind string, load float64) *Engine {
 		b.Fatal(err)
 	}
 	e, err := New(Config{
-		Topology:       top,
-		HostRate:       sim.Gbps(400),
-		Piggyback:      true,
-		PriorityQueues: true,
-		Seed:           1,
+		Config: fabric.Config{
+			Topology:       top,
+			HostRate:       sim.Gbps(400),
+			PriorityQueues: true,
+			Seed:           1,
+		},
+		Piggyback: true,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 128, load, sim.Gbps(400), 7))
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 128, load, sim.Gbps(400), 7))
 	// Warm up past the pipeline fill.
-	e.RunEpochs(50)
+	e.fab.RunRounds(50)
 	return e
 }
 
@@ -45,7 +48,7 @@ func BenchmarkEpochParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.fab.RunRound()
 	}
 }
 
@@ -55,7 +58,7 @@ func BenchmarkEpochThinClos(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.fab.RunRound()
 	}
 }
 
@@ -65,7 +68,7 @@ func BenchmarkEpochLightLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.fab.RunRound()
 	}
 }
 
@@ -76,7 +79,7 @@ func BenchmarkControlStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.controlStep(e.Now())
+		e.controlStep(e.fab.Now())
 	}
 }
 
@@ -86,7 +89,7 @@ func BenchmarkSimThroughput(b *testing.B) {
 	e := benchEngine(b, "parallel", 1.0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.RunEpochs(10)
+		e.fab.RunRounds(10)
 	}
 	b.StopTimer()
 	simNs := float64(e.epochLn) * 10

@@ -11,24 +11,23 @@ import (
 	"negotiator/internal/metrics"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
-	"negotiator/internal/workload"
 )
 
-// Config assembles a NegotiaToR fabric.
+// Config assembles a NegotiaToR fabric: the settings every plane hands
+// the fabric core (fabric.Config) plus the negotiation's own.
+//
+// Workers is clamped before it reaches the core: capped at the ToR count
+// and reduced to 1 when a feature that requires global sequential state
+// is enabled (selective relay, receiver-buffer tracking, OnDeliver
+// observation, or a custom matcher that does not implement
+// match.Sharded) — see resolveWorkers.
 type Config struct {
-	// Topology is the optical fabric layout (required).
-	Topology topo.Topology
+	fabric.Config
 	// Timing is the epoch structure; zero value means DefaultTiming.
 	Timing Timing
-	// HostRate is the aggregate host bandwidth under one ToR (400 Gbps in
-	// the paper), used for goodput normalisation.
-	HostRate sim.Rate
 	// Piggyback enables unscheduled data transmission in the predefined
 	// phase (paper §3.4.1). On by default in the paper's evaluation.
 	Piggyback bool
-	// PriorityQueues enables PIAS-style mice-flow prioritisation at
-	// sources (paper §3.4.2).
-	PriorityQueues bool
 	// RequestThresholdPkts is the request threshold in piggyback packets:
 	// with piggybacking on, a pair requests a scheduled connection only
 	// when its queue exceeds this many piggyback payloads (3 in §3.4.1).
@@ -40,59 +39,12 @@ type Config struct {
 	// Relay enables the traffic-aware selective relay extension
 	// (Appendix A.2.2, thin-clos only); nil disables.
 	Relay *RelayConfig
-	// Failures optionally injects link failures (§4.3).
-	Failures *failure.Plan
-	// Seed drives all randomness (ring init, relay candidate rotation).
-	Seed int64
-	// CheckInvariants enables per-epoch conflict-freedom and byte
-	// conservation assertions (used by tests; costs O(N²) per epoch).
-	CheckInvariants bool
-	// DisableEventSkip forces the run loop to tick every round even when
-	// the fabric is provably idle. Results are byte-identical either way
-	// (pinned by the golden fingerprints); the knob exists for A/B
-	// benchmarks and the skip-equivalence tests.
-	DisableEventSkip bool
 	// DisableIncremental forces a from-scratch REQUEST sweep every epoch
 	// instead of replaying the demand-versioned request cache of sources
 	// whose queues did not change. Results are byte-identical either way;
-	// the knob exists for A/B benchmarks and the cache-equivalence tests.
+	// the from-scratch sweep is the reference the cache-equivalence tests
+	// compare against.
 	DisableIncremental bool
-	// OnDeliver, when set, observes every payload delivery at its
-	// destination (receiver-bandwidth micro-observations).
-	OnDeliver func(dst int, at sim.Time, n int64)
-	// TrackReceiverBuffers models the receiver-side ToR-to-host buffers of
-	// §3.6.5 (the optical fabric can deliver at 2x the host drain rate)
-	// and reports their peak occupancy in Results.
-	TrackReceiverBuffers bool
-	// Workers is the intra-run shard parallelism: the ToRs are split into
-	// Workers contiguous shards that execute each epoch's pipeline stages
-	// concurrently with barrier-synchronized phases (shard-local request
-	// emission → cross-shard mailbox exchange → shard-local matching and
-	// transmission → deterministic merge). Results are byte-identical at
-	// any value. 0 or 1 means sequential; the count is capped at the ToR
-	// count and silently reduced to 1 when a feature that requires global
-	// sequential state is enabled (selective relay, receiver-buffer
-	// tracking, OnDeliver observation, or a custom matcher that does not
-	// implement match.Sharded) — see Engine.Workers for the effective
-	// value.
-	Workers int
-}
-
-// Results summarises a run.
-type Results struct {
-	FCT        *metrics.FCTStats
-	Goodput    *metrics.Goodput
-	MatchRatio *metrics.Ratio
-	Tags       map[int]*fabric.TagStat
-	Duration   sim.Duration
-	EpochLen   sim.Duration
-	Epochs     int64
-	Injected   int64
-	Delivered  int64
-	LostBytes  int64 // bytes destroyed by failures (before requeue), cumulative
-	// PeakReceiverBuffer is the largest receiver-side ToR-to-host backlog
-	// across all ToRs (§3.6.5); zero unless TrackReceiverBuffers is set.
-	PeakReceiverBuffer int64
 }
 
 // tor holds one ToR's control-plane state: scheduling mailboxes, this
@@ -230,17 +182,13 @@ type Engine struct {
 	curGen int // mailbox generation filled this epoch
 }
 
-// New builds an engine. The zero Timing is replaced by DefaultTiming and a
-// zero HostRate by 400 Gbps.
+// New builds an engine. The zero Timing is replaced by DefaultTiming.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("negotiator: nil topology")
 	}
 	if cfg.Timing == (Timing{}) {
 		cfg.Timing = DefaultTiming()
-	}
-	if cfg.HostRate == 0 {
-		cfg.HostRate = sim.Gbps(400)
 	}
 	if cfg.RequestThresholdPkts == 0 {
 		cfg.RequestThresholdPkts = 3
@@ -300,19 +248,9 @@ func New(cfg Config) (*Engine, error) {
 		e.futureTouched = make([][]int32, depth)
 	}
 
-	fab, err := fabric.New(fabric.Config{
-		Topology:             cfg.Topology,
-		HostRate:             cfg.HostRate,
-		Workers:              e.resolveWorkers(),
-		RNG:                  rng,
-		PriorityQueues:       cfg.PriorityQueues,
-		Relay:                cfg.Relay != nil,
-		CumInjected:          true,
-		OnDeliver:            cfg.OnDeliver,
-		TrackReceiverBuffers: cfg.TrackReceiverBuffers,
-		Failures:             cfg.Failures,
-		DisableEventSkip:     cfg.DisableEventSkip,
-	})
+	fc := cfg.Config
+	fc.Workers = e.resolveWorkers()
+	fab, err := fabric.New(fc, fabric.Layout{RNG: rng, Relay: cfg.Relay != nil, CumInjected: true})
 	if err != nil {
 		return nil, err
 	}
@@ -441,61 +379,18 @@ func (e *Engine) initHotPath() {
 	e.stepBatchPrep = func(k int) { e.shards[k].batchPrepStep() }
 }
 
-// parDo runs one barrier phase over all shards (via the core's gang).
-func (e *Engine) parDo(fn func(k int)) { e.fab.ParDo(fn) }
-
-// SetWorkload attaches the arrival stream. Must be called before Run.
-func (e *Engine) SetWorkload(g workload.Generator) { e.fab.SetWorkload(g) }
+// Core returns the fabric core the engine drives.
+func (e *Engine) Core() *fabric.Core { return e.fab }
 
 // Name identifies the control plane.
 func (e *Engine) Name() string { return "negotiator" }
 
-// EpochLen returns the epoch duration.
-func (e *Engine) EpochLen() sim.Duration { return e.epochLn }
-
 // RoundLen implements fabric.ControlPlane: one round is one epoch.
 func (e *Engine) RoundLen() sim.Duration { return e.epochLn }
 
-// Now returns the current simulated time (start of the next epoch).
-func (e *Engine) Now() sim.Time { return e.fab.Now() }
-
-// Run advances the simulation until at least d of simulated time has
-// elapsed (whole epochs).
-func (e *Engine) Run(d sim.Duration) { e.fab.Run(d) }
-
-// RunEpochs advances exactly k epochs.
-func (e *Engine) RunEpochs(k int) { e.fab.RunRounds(k) }
-
-// runEpoch advances one epoch (test and benchmark hook).
-func (e *Engine) runEpoch() { e.fab.RunRound() }
-
-// Drain keeps running until all injected flows complete or maxEpochs pass,
-// returning true if fully drained. The workload must be exhausted first.
-func (e *Engine) Drain(maxEpochs int) bool { return e.fab.Drain(maxEpochs) }
-
-// Workers reports the effective shard parallelism after clamping (see
-// Config.Workers).
-func (e *Engine) Workers() int { return e.workers }
-
-// Results snapshots the run's measurements. Per-shard FCT and goodput
-// accumulators merge order-independently, so the snapshot is identical at
-// any worker count; the merge builds fresh accumulators, keeping Results
-// idempotent.
-func (e *Engine) Results() Results {
-	return Results{
-		FCT:                e.fab.MergedFCT(),
-		Goodput:            e.fab.MergedGoodput(),
-		MatchRatio:         &e.matchRatio,
-		Tags:               e.fab.Tags,
-		Duration:           sim.Duration(e.fab.Now()),
-		EpochLen:           e.epochLn,
-		Epochs:             e.fab.Rounds(),
-		Injected:           e.fab.Ledger.Injected,
-		Delivered:          e.fab.Ledger.Delivered,
-		LostBytes:          e.fab.Lost,
-		PeakReceiverBuffer: e.fab.PeakReceiverBuffer(),
-	}
-}
+// MatchRatio returns the accept/grant ratio series (one per epoch) the
+// facade reports as Summary.MatchRatio and MatchRatioSeries.
+func (e *Engine) MatchRatio() *metrics.Ratio { return &e.matchRatio }
 
 // Round implements fabric.ControlPlane: one epoch through the
 // barrier-synchronized shard phases (paper Figure 4 per shard):
@@ -530,7 +425,7 @@ func (e *Engine) Round() {
 
 	if e.batch != nil {
 		e.batchControl()
-		e.parDo(e.stepMergeTransmit) // outboxes empty: pure transmission
+		e.fab.ParDo(e.stepMergeTransmit) // outboxes empty: pure transmission
 	} else {
 		e.controlPhases(e.stepMergeTransmit)
 	}
@@ -560,19 +455,11 @@ func (e *Engine) IdleHorizon() sim.Time {
 	return fabric.HorizonInfinite
 }
 
-// CheckRound implements fabric.RoundChecker (invoked after each round's
-// serial merge) when invariant checking is on.
-func (e *Engine) CheckRound() {
-	if e.cfg.CheckInvariants {
-		e.checkInvariants()
-	}
-}
-
 // batchControl runs the batch-matcher control plane: the per-shard
 // request snapshot, the shard-order stitch, and the serial whole-fabric
 // Match into the future ring.
 func (e *Engine) batchControl() {
-	e.parDo(e.stepBatchPrep)
+	e.fab.ParDo(e.stepBatchPrep)
 	// The slot batchPrepStep just consumed is spent: its rows are all -1
 	// again, so its touched list must read empty — both for the idle
 	// horizon below (a stale non-empty list would block event-skip
@@ -600,9 +487,9 @@ func (e *Engine) batchControl() {
 // with or without transmission) — then folds the per-shard accept/grant
 // counters into the match ratio.
 func (e *Engine) controlPhases(phaseC func(k int)) {
-	e.parDo(e.stepAccept)
-	e.parDo(e.stepEmit)
-	e.parDo(phaseC)
+	e.fab.ParDo(e.stepAccept)
+	e.fab.ParDo(e.stepEmit)
+	e.fab.ParDo(phaseC)
 	var accepts, grants int64
 	for _, sh := range e.shards {
 		accepts += sh.accepts
@@ -627,15 +514,10 @@ func (e *Engine) controlStep(epochStart sim.Time) {
 	e.controlPhases(e.stepMergeOnly)
 }
 
-// checkInvariants asserts byte conservation, occupancy-index/shadow
-// exactness and match conflict-freedom.
-func (e *Engine) checkInvariants() {
-	if e.cfg.Failures != nil {
-		e.fab.CheckConservation() // ledger check plus loss-record identities
-	} else if err := e.fab.Ledger.Check(e.fab.QueuedInNodes()); err != nil {
-		panic(err)
-	}
-	e.fab.CheckOccupancy()
+// CheckRound implements fabric.RoundChecker (invoked under
+// CheckInvariants after the core's own conservation and occupancy
+// checks): match conflict-freedom and shard-index exactness.
+func (e *Engine) CheckRound() {
 	rx := make(map[[2]int32]int32)
 	for i, t := range e.tors {
 		for p, dj := range t.matches {

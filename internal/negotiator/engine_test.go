@@ -3,6 +3,7 @@ package negotiator
 import (
 	"testing"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/failure"
 	"negotiator/internal/match"
 	"negotiator/internal/metrics"
@@ -33,12 +34,14 @@ func testTopo(t *testing.T, kind string) topo.Topology {
 
 func testConfig(t *testing.T, kind string) Config {
 	return Config{
-		Topology:        testTopo(t, kind),
-		HostRate:        sim.Gbps(200), // 4 ports x 100G = 2x speedup
-		Piggyback:       true,
-		PriorityQueues:  true,
-		Seed:            1,
-		CheckInvariants: true,
+		Config: fabric.Config{
+			Topology:        testTopo(t, kind),
+			HostRate:        sim.Gbps(200), // 4 ports x 100G = 2x speedup
+			PriorityQueues:  true,
+			Seed:            1,
+			CheckInvariants: true,
+		},
+		Piggyback: true,
 	}
 }
 
@@ -63,20 +66,20 @@ func TestSingleFlowPiggybackOnly(t *testing.T) {
 				t.Fatal(err)
 			}
 			// 1000 B < threshold 3*595: never requested, sent as 595+405.
-			e.SetWorkload(workload.NewSinglePair(2, 9, 1000, 0))
-			e.Run(10 * e.EpochLen())
-			r := e.Results()
-			if r.FCT.Count() != 1 {
-				t.Fatalf("completed flows = %d, want 1", r.FCT.Count())
+			e.fab.SetWorkload(workload.NewSinglePair(2, 9, 1000, 0))
+			e.fab.Run(10 * e.epochLn)
+			r := e.fab
+			if r.MergedFCT().Count() != 1 {
+				t.Fatalf("completed flows = %d, want 1", r.MergedFCT().Count())
 			}
-			fct := r.FCT.MiceP(100)
+			fct := r.MergedFCT().MiceP(100)
 			// Two piggyback opportunities: done within 2 epochs + prop.
-			max := 2*e.EpochLen() + 2*sim.Microsecond
+			max := 2*e.epochLn + 2*sim.Microsecond
 			if fct > max {
 				t.Errorf("piggyback-only FCT = %v, want <= %v", fct, max)
 			}
-			if r.Delivered != 1000 {
-				t.Errorf("delivered = %d, want 1000", r.Delivered)
+			if r.Ledger.Delivered != 1000 {
+				t.Errorf("delivered = %d, want 1000", r.Ledger.Delivered)
 			}
 		})
 	}
@@ -91,18 +94,18 @@ func TestScheduledPathTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	const size = 1 << 20
-	e.SetWorkload(workload.NewSinglePair(0, 5, size, 0))
+	e.fab.SetWorkload(workload.NewSinglePair(0, 5, size, 0))
 	piggy := e.timing.PiggybackBytes()
-	e.RunEpochs(2)
-	r := e.Results()
-	if r.Delivered > 2*piggy {
-		t.Fatalf("delivered %d bytes before scheduling delay elapsed, want <= %d", r.Delivered, 2*piggy)
+	e.fab.RunRounds(2)
+	r := e.fab
+	if r.Ledger.Delivered > 2*piggy {
+		t.Fatalf("delivered %d bytes before scheduling delay elapsed, want <= %d", r.Ledger.Delivered, 2*piggy)
 	}
-	e.RunEpochs(1)
-	r = e.Results()
+	e.fab.RunRounds(1)
+	r = e.fab
 	wantBulk := int64(e.timing.ScheduledSlots) * e.timing.DataPayloadBytes()
-	if r.Delivered < wantBulk {
-		t.Fatalf("after epoch 2: delivered %d, want >= one port-epoch %d", r.Delivered, wantBulk)
+	if r.Ledger.Delivered < wantBulk {
+		t.Fatalf("after epoch 2: delivered %d, want >= one port-epoch %d", r.Ledger.Delivered, wantBulk)
 	}
 }
 
@@ -113,14 +116,14 @@ func TestElephantUsesMultiplePortsOnParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewSinglePair(0, 5, 8<<20, 0))
-	e.RunEpochs(4)
+	e.fab.SetWorkload(workload.NewSinglePair(0, 5, 8<<20, 0))
+	e.fab.RunRounds(4)
 	perPort := int64(e.timing.ScheduledSlots) * e.timing.DataPayloadBytes()
-	r := e.Results()
+	r := e.fab
 	// With 4 ports and one competitor-free pair, epoch 2 and 3 should each
 	// move ~4 port-epochs of data.
-	if r.Delivered < 4*perPort {
-		t.Errorf("delivered %d, want >= %d (multi-port grants)", r.Delivered, 4*perPort)
+	if r.Ledger.Delivered < 4*perPort {
+		t.Errorf("delivered %d, want >= %d (multi-port grants)", r.Ledger.Delivered, 4*perPort)
 	}
 }
 
@@ -131,14 +134,14 @@ func TestThinClosSinglePathLimitsPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewSinglePair(0, 5, 8<<20, 0))
-	e.RunEpochs(4)
+	e.fab.SetWorkload(workload.NewSinglePair(0, 5, 8<<20, 0))
+	e.fab.RunRounds(4)
 	perPort := int64(e.timing.ScheduledSlots) * e.timing.DataPayloadBytes()
 	piggy := e.timing.PiggybackBytes()
-	r := e.Results()
+	r := e.fab
 	maxPossible := 2*perPort + 4*piggy // epochs 2,3 scheduled + all piggybacks
-	if r.Delivered > maxPossible {
-		t.Errorf("delivered %d, want <= %d (single path)", r.Delivered, maxPossible)
+	if r.Ledger.Delivered > maxPossible {
+		t.Errorf("delivered %d, want <= %d (single path)", r.Ledger.Delivered, maxPossible)
 	}
 }
 
@@ -151,14 +154,14 @@ func TestConservationUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 1.0, cfg.HostRate, 7))
-		e.Run(300 * sim.Microsecond)
-		r := e.Results()
-		if r.FCT.Count() == 0 {
+		e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 1.0, cfg.HostRate, 7))
+		e.fab.Run(300 * sim.Microsecond)
+		r := e.fab
+		if r.MergedFCT().Count() == 0 {
 			t.Errorf("%s: no flows completed", kind)
 		}
-		if r.Delivered <= 0 || r.Delivered > r.Injected {
-			t.Errorf("%s: delivered %d of %d injected", kind, r.Delivered, r.Injected)
+		if r.Ledger.Delivered <= 0 || r.Ledger.Delivered > r.Ledger.Injected {
+			t.Errorf("%s: delivered %d of %d injected", kind, r.Ledger.Delivered, r.Ledger.Injected)
 		}
 	}
 }
@@ -166,17 +169,17 @@ func TestConservationUnderLoad(t *testing.T) {
 func TestDrain(t *testing.T) {
 	cfg := testConfig(t, "parallel")
 	e, _ := New(cfg)
-	e.SetWorkload(workload.NewAllToAll(16, 50<<10, 0))
-	e.Run(100 * sim.Microsecond)
-	if !e.Drain(100000) {
+	e.fab.SetWorkload(workload.NewAllToAll(16, 50<<10, 0))
+	e.fab.Run(100 * sim.Microsecond)
+	if !e.fab.Drain(100000) {
 		t.Fatal("all-to-all failed to drain")
 	}
-	r := e.Results()
-	if r.Delivered != r.Injected {
-		t.Errorf("drained but delivered %d != injected %d", r.Delivered, r.Injected)
+	r := e.fab
+	if r.Ledger.Delivered != r.Ledger.Injected {
+		t.Errorf("drained but delivered %d != injected %d", r.Ledger.Delivered, r.Ledger.Injected)
 	}
-	if r.FCT.Count() != 16*15 {
-		t.Errorf("completed %d flows, want 240", r.FCT.Count())
+	if r.MergedFCT().Count() != 16*15 {
+		t.Errorf("completed %d flows, want 240", r.MergedFCT().Count())
 	}
 }
 
@@ -191,9 +194,9 @@ func TestIncastBypassFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWorkload(inc)
-		e.Run(200 * sim.Microsecond)
-		ts := e.Results().Tags[1]
+		e.fab.SetWorkload(inc)
+		e.fab.Run(200 * sim.Microsecond)
+		ts := e.fab.Tags[1]
 		if ts == nil || ts.Done != degree {
 			t.Fatalf("degree %d: incast incomplete: %+v", degree, ts)
 		}
@@ -213,9 +216,9 @@ func TestTagTracking(t *testing.T) {
 	cfg := testConfig(t, "parallel")
 	e, _ := New(cfg)
 	inc, _ := workload.NewIncast(16, 0, 5, 800, 1000, 42, 3)
-	e.SetWorkload(inc)
-	e.Run(50 * sim.Microsecond)
-	ts := e.Results().Tags[42]
+	e.fab.SetWorkload(inc)
+	e.fab.Run(50 * sim.Microsecond)
+	ts := e.fab.Tags[42]
 	if ts == nil {
 		t.Fatal("tag not tracked")
 	}
@@ -232,9 +235,9 @@ func TestMatchRatioUnderSaturation(t *testing.T) {
 	// near 1-(1-1/n)^n.
 	cfg := testConfig(t, "parallel")
 	e, _ := New(cfg)
-	e.SetWorkload(workload.NewAllToAll(16, 1<<20, 0))
-	e.Run(500 * sim.Microsecond)
-	ratio := e.Results().MatchRatio.Mean()
+	e.fab.SetWorkload(workload.NewAllToAll(16, 1<<20, 0))
+	e.fab.Run(500 * sim.Microsecond)
+	ratio := e.matchRatio.Mean()
 	if ratio < 0.5 || ratio > 0.85 {
 		t.Errorf("match ratio = %.3f, want ~0.63", ratio)
 	}
@@ -245,9 +248,9 @@ func TestPriorityQueuesImproveMiceFCT(t *testing.T) {
 		cfg := testConfig(t, "parallel")
 		cfg.PriorityQueues = pq
 		e, _ := New(cfg)
-		e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 1.0, cfg.HostRate, 11))
-		e.Run(2 * sim.Millisecond)
-		return e.Results().FCT.MiceP(99)
+		e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 1.0, cfg.HostRate, 11))
+		e.fab.Run(2 * sim.Millisecond)
+		return e.fab.MergedFCT().MiceP(99)
 	}
 	withPQ, withoutPQ := run(true), run(false)
 	if withPQ > withoutPQ {
@@ -261,9 +264,9 @@ func TestPiggybackImprovesMiceFCT(t *testing.T) {
 		cfg.Piggyback = pb
 		cfg.PriorityQueues = false
 		e, _ := New(cfg)
-		e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.9, cfg.HostRate, 13))
-		e.Run(2 * sim.Millisecond)
-		return e.Results().FCT.MiceMean()
+		e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.9, cfg.HostRate, 13))
+		e.fab.Run(2 * sim.Millisecond)
+		return e.fab.MergedFCT().MiceMean()
 	}
 	withPB, withoutPB := run(true), run(false)
 	if withPB >= withoutPB {
@@ -298,10 +301,10 @@ func TestMatcherVariantsRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 17))
-			e.Run(500 * sim.Microsecond)
-			r := e.Results()
-			if r.FCT.Count() == 0 {
+			e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 17))
+			e.fab.Run(500 * sim.Microsecond)
+			r := e.fab
+			if r.MergedFCT().Count() == 0 {
 				t.Error("no completions")
 			}
 		})
@@ -321,9 +324,9 @@ func TestIterativeDelaysHurtFCT(t *testing.T) {
 			}
 		}
 		e, _ := New(cfg)
-		e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.5, cfg.HostRate, 23))
-		e.Run(1 * sim.Millisecond)
-		return e.Results().FCT.MiceMean()
+		e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.5, cfg.HostRate, 23))
+		e.fab.Run(1 * sim.Millisecond)
+		return e.fab.MergedFCT().MiceMean()
 	}
 	base, iter5 := run(0), run(5)
 	if iter5 <= base {
@@ -336,20 +339,20 @@ func TestFailureLosesAndRecovers(t *testing.T) {
 	epoch := DefaultTiming().EpochLen(4) // 16 ToRs, 4 ports: 4 predefined slots... computed below
 	_ = epoch
 	e0, _ := New(cfg)
-	failAt := sim.Time(20 * e0.EpochLen())
-	recoverAt := sim.Time(60 * e0.EpochLen())
-	cfg.Failures = failure.Random(16, 4, 0.15, failAt, recoverAt, 3*e0.EpochLen(), 9)
+	failAt := sim.Time(20 * e0.epochLn)
+	recoverAt := sim.Time(60 * e0.epochLn)
+	cfg.Failures = failure.Random(16, 4, 0.15, failAt, recoverAt, 3*e0.epochLn, 9)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 31))
-	e.Run(120 * e0.EpochLen())
-	r := e.Results()
-	if r.LostBytes == 0 {
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 31))
+	e.fab.Run(120 * e0.epochLn)
+	r := e.fab
+	if r.Lost == 0 {
 		t.Error("no bytes lost despite 15% link failures")
 	}
-	if r.FCT.Count() == 0 {
+	if r.MergedFCT().Count() == 0 {
 		t.Error("no flows completed across failure")
 	}
 	// Conservation (ledger) held throughout via CheckInvariants.
@@ -360,13 +363,13 @@ func TestFailureBandwidthDrop(t *testing.T) {
 	// returns (paper Fig. 10).
 	cfg := testConfig(t, "parallel")
 	e0, _ := New(cfg)
-	ep := e0.EpochLen()
+	ep := e0.epochLn
 	series := metrics.NewTimeSeries(10 * ep)
 	cfg.OnDeliver = func(dst int, at sim.Time, n int64) { series.Add(at, n) }
 	cfg.Failures = failure.Random(16, 4, 0.25, sim.Time(100*ep), sim.Time(200*ep), 3*ep, 10)
 	e, _ := New(cfg)
-	e.SetWorkload(workload.NewPoisson(workload.Fixed(1<<20), 16, 0.9, cfg.HostRate, 37))
-	e.Run(300 * ep)
+	e.fab.SetWorkload(workload.NewPoisson(workload.Fixed(1<<20), 16, 0.9, cfg.HostRate, 37))
+	e.fab.Run(300 * ep)
 	pre := series.MeanGbpsBetween(sim.Time(50*ep), sim.Time(100*ep))
 	during := series.MeanGbpsBetween(sim.Time(130*ep), sim.Time(200*ep))
 	post := series.MeanGbpsBetween(sim.Time(240*ep), sim.Time(300*ep))
@@ -385,13 +388,13 @@ func TestSelectiveRelayRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.5, cfg.HostRate, 41))
-	e.Run(1 * sim.Millisecond)
-	r := e.Results()
-	if r.FCT.Count() == 0 {
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.5, cfg.HostRate, 41))
+	e.fab.Run(1 * sim.Millisecond)
+	r := e.fab
+	if r.MergedFCT().Count() == 0 {
 		t.Fatal("no completions with relay enabled")
 	}
-	if r.Delivered > r.Injected {
+	if r.Ledger.Delivered > r.Ledger.Injected {
 		t.Fatal("over-delivery with relay")
 	}
 }
@@ -405,8 +408,8 @@ func TestOnDeliverObserver(t *testing.T) {
 		}
 	}
 	e, _ := New(cfg)
-	e.SetWorkload(workload.NewSinglePair(2, 9, 40<<10, 0))
-	e.Run(200 * sim.Microsecond)
+	e.fab.SetWorkload(workload.NewSinglePair(2, 9, 40<<10, 0))
+	e.fab.Run(200 * sim.Microsecond)
 	if observed != 40<<10 {
 		t.Errorf("observer saw %d bytes, want %d", observed, 40<<10)
 	}
@@ -416,10 +419,10 @@ func TestDeterminism(t *testing.T) {
 	run := func() (int64, sim.Duration) {
 		cfg := testConfig(t, "thinclos")
 		e, _ := New(cfg)
-		e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.7, cfg.HostRate, 99))
-		e.Run(500 * sim.Microsecond)
-		r := e.Results()
-		return r.Delivered, r.FCT.MiceP(99)
+		e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.7, cfg.HostRate, 99))
+		e.fab.Run(500 * sim.Microsecond)
+		r := e.fab
+		return r.Ledger.Delivered, r.MergedFCT().MiceP(99)
 	}
 	d1, f1 := run()
 	d2, f2 := run()

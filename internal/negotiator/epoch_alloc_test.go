@@ -3,6 +3,7 @@ package negotiator
 import (
 	"testing"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
@@ -27,11 +28,13 @@ func steadyEngine(tb testing.TB, kind string, warmupEpochs int) *Engine {
 		tb.Fatal(err)
 	}
 	e, err := New(Config{
-		Topology:       top,
-		HostRate:       sim.Gbps(400),
-		Piggyback:      true,
-		PriorityQueues: true,
-		Seed:           1,
+		Config: fabric.Config{
+			Topology:       top,
+			HostRate:       sim.Gbps(400),
+			PriorityQueues: true,
+			Seed:           1,
+		},
+		Piggyback: true,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -39,8 +42,8 @@ func steadyEngine(tb testing.TB, kind string, warmupEpochs int) *Engine {
 	// 1 GiB per pair: far more than the warm-up plus measurement epochs can
 	// drain, so no flow completes (completions append to FCT stats) and
 	// every queue stays deep enough to request every epoch.
-	e.SetWorkload(workload.NewAllToAll(128, 1<<30, 0))
-	e.RunEpochs(warmupEpochs)
+	e.fab.SetWorkload(workload.NewAllToAll(128, 1<<30, 0))
+	e.fab.RunRounds(warmupEpochs)
 	if !e.fab.WorkloadDone() {
 		tb.Fatal("steady state not reached: workload not exhausted")
 	}
@@ -61,7 +64,7 @@ func TestEpochSteadyStateZeroAlloc(t *testing.T) {
 			// 700 warm-up epochs leave the Ratio series at capacity 1024;
 			// the 101 measured epochs stay under it.
 			e := steadyEngine(t, kind, 700)
-			allocs := testing.AllocsPerRun(100, func() { e.runEpoch() })
+			allocs := testing.AllocsPerRun(100, func() { e.fab.RunRound() })
 			if allocs != 0 {
 				t.Errorf("%s: steady-state epoch allocates %.1f objects/epoch, want 0", kind, allocs)
 			}
@@ -78,7 +81,7 @@ func BenchmarkEpochSteadyStateParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.fab.RunRound()
 	}
 }
 
@@ -88,6 +91,6 @@ func BenchmarkEpochSteadyStateThinClos(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.fab.RunRound()
 	}
 }

@@ -2,6 +2,7 @@ package negotiator
 
 import (
 	"fmt"
+	"negotiator/internal/fabric"
 	"runtime"
 	"testing"
 
@@ -22,7 +23,7 @@ func constructionBytes(tb testing.TB, n int) uint64 {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	e, err := New(Config{Topology: top, HostRate: sim.Gbps(400), Piggyback: true, PriorityQueues: true, Seed: 1})
+	e, err := New(Config{Config: fabric.Config{Topology: top, HostRate: sim.Gbps(400), PriorityQueues: true, Seed: 1}, Piggyback: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -67,16 +68,17 @@ func TestLazyEagerFingerprint4096(t *testing.T) {
 	if raceEnabled {
 		t.Skip("eager 4096-ToR slabs under the race detector's shadow memory")
 	}
-	fpOf := func(r Results) string {
+	fpOf := func(e *Engine) string {
+		fct := e.fab.MergedFCT()
 		return fmt.Sprintf("count=%d mean=%v p50=%v p99=%v max=%v epochs=%d",
-			r.FCT.Count(), r.FCT.Mean(), r.FCT.P(50), r.FCT.P(99), r.FCT.Max(), r.Epochs)
+			fct.Count(), fct.Mean(), fct.P(50), fct.P(99), fct.Max(), e.fab.Rounds())
 	}
-	run := func(eager bool) (string, Results) {
+	run := func(eager bool) (string, *Engine) {
 		top, err := topo.NewParallel(4096, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(Config{Topology: top, HostRate: sim.Gbps(400), Piggyback: true, Seed: 1})
+		e, err := New(Config{Config: fabric.Config{Topology: top, HostRate: sim.Gbps(400), Seed: 1}, Piggyback: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,22 +89,21 @@ func TestLazyEagerFingerprint4096(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWorkload(perm)
-		e.RunEpochs(40)
-		r := e.Results()
-		return fpOf(r), r
+		e.fab.SetWorkload(perm)
+		e.fab.RunRounds(40)
+		return fpOf(e), e
 	}
-	lazyFP, lazyRes := run(false)
-	eagerFP, eagerRes := run(true)
+	lazyFP, lazy := run(false)
+	eagerFP, eager := run(true)
 	if lazyFP != eagerFP {
 		t.Errorf("FCT fingerprints differ:\nlazy:  %s\neager: %s", lazyFP, eagerFP)
 	}
-	if lazyRes.Delivered != eagerRes.Delivered || lazyRes.Injected != eagerRes.Injected {
+	if lazy.fab.Ledger.Delivered != eager.fab.Ledger.Delivered || lazy.fab.Ledger.Injected != eager.fab.Ledger.Injected {
 		t.Errorf("ledger differs: lazy %d/%d, eager %d/%d",
-			lazyRes.Injected, lazyRes.Delivered, eagerRes.Injected, eagerRes.Delivered)
+			lazy.fab.Ledger.Injected, lazy.fab.Ledger.Delivered, eager.fab.Ledger.Injected, eager.fab.Ledger.Delivered)
 	}
-	if lazyRes.MatchRatio.Mean() != eagerRes.MatchRatio.Mean() {
-		t.Errorf("match ratio differs: lazy %v, eager %v", lazyRes.MatchRatio.Mean(), eagerRes.MatchRatio.Mean())
+	if lazy.matchRatio.Mean() != eager.matchRatio.Mean() {
+		t.Errorf("match ratio differs: lazy %v, eager %v", lazy.matchRatio.Mean(), eager.matchRatio.Mean())
 	}
 }
 
@@ -119,7 +120,7 @@ func BenchmarkConstructFootprint4096(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := New(Config{Topology: top, HostRate: sim.Gbps(400), Piggyback: true, PriorityQueues: true, Seed: 1})
+		e, err := New(Config{Config: fabric.Config{Topology: top, HostRate: sim.Gbps(400), PriorityQueues: true, Seed: 1}, Piggyback: true})
 		if err != nil {
 			b.Fatal(err)
 		}

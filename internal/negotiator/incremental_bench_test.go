@@ -3,6 +3,7 @@ package negotiator
 import (
 	"testing"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
@@ -27,9 +28,11 @@ func incastEngine(tb testing.TB, incremental bool) *Engine {
 		tb.Fatal(err)
 	}
 	e, err := New(Config{
-		Topology:           top,
-		HostRate:           sim.Gbps(400),
-		Seed:               1,
+		Config: fabric.Config{
+			Topology: top,
+			HostRate: sim.Gbps(400),
+			Seed:     1,
+		},
 		DisableIncremental: !incremental,
 	})
 	if err != nil {
@@ -43,8 +46,8 @@ func incastEngine(tb testing.TB, incremental bool) *Engine {
 		}
 		gens = append(gens, inc)
 	}
-	e.SetWorkload(workload.NewMerge(gens...))
-	e.RunEpochs(8)
+	e.fab.SetWorkload(workload.NewMerge(gens...))
+	e.fab.RunRounds(8)
 	if !e.fab.WorkloadDone() {
 		tb.Fatal("incast steady state not reached: workload not exhausted")
 	}
@@ -61,7 +64,7 @@ func BenchmarkIncrementalMatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.runEpoch()
+				e.fab.RunRound()
 			}
 		})
 	}

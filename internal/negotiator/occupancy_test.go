@@ -2,6 +2,7 @@ package negotiator
 
 import (
 	"fmt"
+	"negotiator/internal/fabric"
 	"testing"
 
 	"negotiator/internal/failure"
@@ -29,7 +30,7 @@ func TestOccupancyInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return Config{Topology: top, Piggyback: true, PriorityQueues: true, Seed: 1}
+			return Config{Config: fabric.Config{Topology: top, PriorityQueues: true, Seed: 1}, Piggyback: true}
 		}},
 		{"failures-parallel", func(t *testing.T) Config {
 			top, err := topo.NewParallel(16, 4)
@@ -37,11 +38,13 @@ func TestOccupancyInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			return Config{
-				Topology:       top,
-				Piggyback:      true,
-				PriorityQueues: true,
-				Seed:           1,
-				Failures:       failure.Random(16, 4, 0.25, sim.Time(20*ep), sim.Time(60*ep), 3*ep, 9),
+				Config: fabric.Config{
+					Topology:       top,
+					PriorityQueues: true,
+					Seed:           1,
+					Failures:       failure.Random(16, 4, 0.25, sim.Time(20*ep), sim.Time(60*ep), 3*ep, 9),
+				},
+				Piggyback: true,
 			}
 		}},
 		{"relay-thinclos", func(t *testing.T) Config {
@@ -49,14 +52,14 @@ func TestOccupancyInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return Config{Topology: tc, Piggyback: true, PriorityQueues: true, Seed: 1, Relay: &RelayConfig{}}
+			return Config{Config: fabric.Config{Topology: tc, PriorityQueues: true, Seed: 1}, Piggyback: true, Relay: &RelayConfig{}}
 		}},
 		{"plain-thinclos", func(t *testing.T) Config {
 			tc, err := topo.NewThinClos(16, 4, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return Config{Topology: tc, Seed: 1}
+			return Config{Config: fabric.Config{Topology: tc, Seed: 1}}
 		}},
 	}
 	for _, c := range cases {
@@ -69,10 +72,10 @@ func TestOccupancyInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.9, sim.Gbps(400), 7))
-				e.RunEpochs(120)
-				e.SetWorkload(nil)
-				e.Drain(4000)
+				e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.9, sim.Gbps(400), 7))
+				e.fab.RunRounds(120)
+				e.fab.SetWorkload(nil)
+				e.fab.Drain(4000)
 			})
 		}
 	}
@@ -88,12 +91,14 @@ func TestOccupancyInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			e, err := New(Config{
-				Topology:        top,
-				Piggyback:       true,
-				PriorityQueues:  true,
-				Seed:            1,
-				CheckInvariants: true,
-				Workers:         workers,
+				Config: fabric.Config{
+					Topology:        top,
+					PriorityQueues:  true,
+					Seed:            1,
+					CheckInvariants: true,
+					Workers:         workers,
+				},
+				Piggyback: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -102,10 +107,10 @@ func TestOccupancyInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.SetWorkload(perm)
-			e.RunEpochs(40)
-			e.SetWorkload(nil)
-			if !e.Drain(4000) {
+			e.fab.SetWorkload(perm)
+			e.fab.RunRounds(40)
+			e.fab.SetWorkload(nil)
+			if !e.fab.Drain(4000) {
 				t.Fatal("sparse permutation did not drain")
 			}
 			for i := 16; i < 64; i++ {
@@ -127,11 +132,13 @@ func TestOccupancyInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		e, err := New(Config{
-			Topology:        top,
-			Piggyback:       true,
-			PriorityQueues:  true,
-			Seed:            1,
-			CheckInvariants: true,
+			Config: fabric.Config{
+				Topology:        top,
+				PriorityQueues:  true,
+				Seed:            1,
+				CheckInvariants: true,
+			},
+			Piggyback: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -140,10 +147,10 @@ func TestOccupancyInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWorkload(perm)
-		e.RunEpochs(30)
-		e.SetWorkload(nil)
-		if !e.Drain(8000) {
+		e.fab.SetWorkload(perm)
+		e.fab.RunRounds(30)
+		e.fab.SetWorkload(nil)
+		if !e.fab.Drain(8000) {
 			t.Fatal("paged sparse permutation did not drain")
 		}
 		for i, nd := range e.fab.Nodes {

@@ -22,15 +22,15 @@ func TestPipelineExpandsWithLongPropagation(t *testing.T) {
 	if e.stageLag < 2 {
 		t.Fatalf("stage lag = %d, want >= 2 for 12µs propagation", e.stageLag)
 	}
-	e.SetWorkload(workload.NewSinglePair(0, 5, 4<<20, 0))
-	e.RunEpochs(2 * e.stageLag)
+	e.fab.SetWorkload(workload.NewSinglePair(0, 5, 4<<20, 0))
+	e.fab.RunRounds(2 * e.stageLag)
 	// Nothing scheduled may move before 2*stageLag epochs.
 	piggy := e.timing.PiggybackBytes()
-	if d := e.Results().Delivered; d > int64(2*e.stageLag)*piggy {
+	if d := e.fab.Ledger.Delivered; d > int64(2*e.stageLag)*piggy {
 		t.Fatalf("delivered %d before the stretched pipeline could fill", d)
 	}
-	e.RunEpochs(4)
-	if d := e.Results().Delivered; d < e.timing.EpochPortBytes() {
+	e.fab.RunRounds(4)
+	if d := e.fab.Ledger.Delivered; d < e.timing.EpochPortBytes() {
 		t.Fatalf("stretched pipeline never delivered bulk data: %d", d)
 	}
 }
@@ -68,17 +68,17 @@ func TestPiggybackBudgetPerPair(t *testing.T) {
 	e, _ := New(cfg)
 	// Queue below the request threshold so only piggybacking acts.
 	size := e.timing.PiggybackBytes() * 3 // == threshold, not above
-	e.SetWorkload(workload.NewSinglePair(0, 5, size, 0))
+	e.fab.SetWorkload(workload.NewSinglePair(0, 5, size, 0))
 	piggy := e.timing.PiggybackBytes()
 	for k := 1; k <= 3; k++ {
-		e.RunEpochs(1)
-		if d := e.Results().Delivered; d > int64(k)*piggy {
+		e.fab.RunRounds(1)
+		if d := e.fab.Ledger.Delivered; d > int64(k)*piggy {
 			t.Fatalf("after %d epochs delivered %d > %d (one payload per epoch)",
 				k, d, int64(k)*piggy)
 		}
 	}
-	e.RunEpochs(2)
-	if d := e.Results().Delivered; d != size {
+	e.fab.RunRounds(2)
+	if d := e.fab.Ledger.Delivered; d != size {
 		t.Fatalf("piggyback path delivered %d of %d", d, size)
 	}
 }
@@ -109,21 +109,21 @@ func TestSchedulingDelayTwoEpochs(t *testing.T) {
 	cfg.PriorityQueues = false
 	e, _ := New(cfg)
 	size := 20 * e.timing.PiggybackBytes()
-	e.SetWorkload(workload.NewSinglePair(2, 9, size, 0))
+	e.fab.SetWorkload(workload.NewSinglePair(2, 9, size, 0))
 	piggy := e.timing.PiggybackBytes()
 
-	e.RunEpochs(1) // epoch 0: request sent; only piggyback moves
-	d0 := e.Results().Delivered
+	e.fab.RunRounds(1) // epoch 0: request sent; only piggyback moves
+	d0 := e.fab.Ledger.Delivered
 	if d0 > piggy {
 		t.Fatalf("epoch 0 delivered %d > one piggyback", d0)
 	}
-	e.RunEpochs(1) // epoch 1: grant in flight; still piggyback only
-	d1 := e.Results().Delivered - d0
+	e.fab.RunRounds(1) // epoch 1: grant in flight; still piggyback only
+	d1 := e.fab.Ledger.Delivered - d0
 	if d1 > piggy {
 		t.Fatalf("epoch 1 delivered %d > one piggyback", d1)
 	}
-	e.RunEpochs(1) // epoch 2: accept + scheduled transmission
-	d2 := e.Results().Delivered - d0 - d1
+	e.fab.RunRounds(1) // epoch 2: accept + scheduled transmission
+	d2 := e.fab.Ledger.Delivered - d0 - d1
 	if d2 <= piggy {
 		t.Fatalf("epoch 2 delivered only %d; scheduled phase should carry bulk", d2)
 	}
@@ -133,9 +133,9 @@ func TestSchedulingDelayTwoEpochs(t *testing.T) {
 func TestMatchRatioSeriesLength(t *testing.T) {
 	cfg := testConfig(t, "parallel")
 	e, _ := New(cfg)
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.5, cfg.HostRate, 3))
-	e.RunEpochs(37)
-	if got := e.Results().MatchRatio.Len(); got != 37 {
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.5, cfg.HostRate, 3))
+	e.fab.RunRounds(37)
+	if got := e.matchRatio.Len(); got != 37 {
 		t.Fatalf("ratio observations = %d, want 37", got)
 	}
 }
@@ -156,9 +156,9 @@ func TestSelectiveRelayMovesElephantBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		size := int64(4 << 20)
-		e.SetWorkload(workload.NewSinglePair(0, 5, size, 0))
-		drained := e.Drain(20000)
-		return e.Results().Delivered, drained
+		e.fab.SetWorkload(workload.NewSinglePair(0, 5, size, 0))
+		drained := e.fab.Drain(20000)
+		return e.fab.Ledger.Delivered, drained
 	}
 	dBase, okBase := run(false)
 	dRelay, okRelay := run(true)
@@ -185,12 +185,12 @@ func TestSelectiveRelaySpeedsUpSinglePairElephant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWorkload(workload.NewSinglePair(0, 5, 8<<20, 0))
-		if !e.Drain(40000) {
+		e.fab.SetWorkload(workload.NewSinglePair(0, 5, 8<<20, 0))
+		if !e.fab.Drain(40000) {
 			t.Fatal("drain failed")
 		}
-		r := e.Results()
-		return r.FCT.P(100)
+		r := e.fab
+		return r.MergedFCT().P(100)
 	}
 	base, relay := finish(false), finish(true)
 	if relay > base {

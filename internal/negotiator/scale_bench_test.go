@@ -2,6 +2,7 @@ package negotiator
 
 import (
 	"fmt"
+	"negotiator/internal/fabric"
 	"runtime"
 	"testing"
 
@@ -21,18 +22,20 @@ func steadyEngineAt(tb testing.TB, tors, ports, workers, warmupEpochs int) *Engi
 		tb.Fatal(err)
 	}
 	e, err := New(Config{
-		Topology:       top,
-		HostRate:       sim.Gbps(int64(ports) * 50),
-		Piggyback:      true,
-		PriorityQueues: true,
-		Seed:           1,
-		Workers:        workers,
+		Config: fabric.Config{
+			Topology:       top,
+			HostRate:       sim.Gbps(int64(ports) * 50),
+			PriorityQueues: true,
+			Seed:           1,
+			Workers:        workers,
+		},
+		Piggyback: true,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e.SetWorkload(workload.NewAllToAll(tors, 1<<30, 0))
-	e.RunEpochs(warmupEpochs)
+	e.fab.SetWorkload(workload.NewAllToAll(tors, 1<<30, 0))
+	e.fab.RunRounds(warmupEpochs)
 	if !e.fab.WorkloadDone() {
 		tb.Fatal("steady state not reached: workload not exhausted")
 	}
@@ -57,7 +60,7 @@ func BenchmarkEpochSteadyStateWorkers(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					e.runEpoch()
+					e.fab.RunRound()
 				}
 			})
 		}

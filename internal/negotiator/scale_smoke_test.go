@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
@@ -11,17 +12,17 @@ import (
 
 func TestPaperScaleSmoke(t *testing.T) {
 	top, _ := topo.NewParallel(128, 8)
-	cfg := Config{Topology: top, HostRate: sim.Gbps(400), Piggyback: true, PriorityQueues: true, Seed: 1}
+	cfg := Config{Config: fabric.Config{Topology: top, HostRate: sim.Gbps(400), PriorityQueues: true, Seed: 1}, Piggyback: true}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 128, 1.0, sim.Gbps(400), 7))
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 128, 1.0, sim.Gbps(400), 7))
 	start := time.Now()
-	e.Run(2 * sim.Millisecond)
+	e.fab.Run(2 * sim.Millisecond)
 	el := time.Since(start)
-	r := e.Results()
+	r := e.fab
 	t.Logf("wall=%v epochs=%d flows=%d mice99p=%v miceavg=%v goodput=%.3f matchratio=%.3f",
-		el, r.Epochs, r.FCT.Count(), r.FCT.MiceP(99), r.FCT.MiceMean(),
-		r.Goodput.Normalized(r.Duration, sim.Gbps(400)), r.MatchRatio.Mean())
+		el, r.Rounds(), r.MergedFCT().Count(), r.MergedFCT().MiceP(99), r.MergedFCT().MiceMean(),
+		r.MergedGoodput().Normalized(sim.Duration(r.Now()), sim.Gbps(400)), e.matchRatio.Mean())
 }

@@ -2,6 +2,7 @@ package negotiator
 
 import (
 	"fmt"
+	"negotiator/internal/fabric"
 	"testing"
 
 	"negotiator/internal/failure"
@@ -20,13 +21,13 @@ func shardFingerprint(t *testing.T, cfg Config, epochs int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), cfg.Topology.N(), 0.8, sim.Gbps(200), 33))
-	e.RunEpochs(epochs)
-	r := e.Results()
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), cfg.Topology.N(), 0.8, sim.Gbps(200), 33))
+	e.fab.RunRounds(epochs)
+	r := e.fab
 	return fmt.Sprintf("fct=%v flows=%d mice=%d p99=%v mp99=%v mean=%v goodput=%d per=%v ratio=%.6f series=%v inj=%d del=%d lost=%d tags=%v cdf=%v",
-		r.FCT, r.FCT.Count(), r.FCT.MiceCount(), r.FCT.P(99), r.FCT.MiceP(99), r.FCT.Mean(),
-		r.Goodput.TotalBytes(), r.Goodput.PerToRGbps(r.Duration), r.MatchRatio.Mean(), r.MatchRatio.Series(),
-		r.Injected, r.Delivered, r.LostBytes, r.Tags, r.FCT.MiceCDF(16))
+		r.MergedFCT(), r.MergedFCT().Count(), r.MergedFCT().MiceCount(), r.MergedFCT().P(99), r.MergedFCT().MiceP(99), r.MergedFCT().Mean(),
+		r.MergedGoodput().TotalBytes(), r.MergedGoodput().PerToRGbps(sim.Duration(r.Now())), e.matchRatio.Mean(), e.matchRatio.Series(),
+		r.Ledger.Injected, r.Ledger.Delivered, r.Lost, r.Tags, r.MergedFCT().MiceCDF(16))
 }
 
 // TestShardDeterminismEngine: the engine must produce identical results at
@@ -57,13 +58,15 @@ func TestShardDeterminismEngine(t *testing.T) {
 						tp = newThinClos()
 					}
 					cfg := Config{
-						Topology:        tp,
-						HostRate:        sim.Gbps(200),
-						Piggyback:       true,
-						PriorityQueues:  true,
-						Seed:            1,
-						CheckInvariants: true,
-						Workers:         workers,
+						Config: fabric.Config{
+							Topology:        tp,
+							HostRate:        sim.Gbps(200),
+							PriorityQueues:  true,
+							Seed:            1,
+							CheckInvariants: true,
+							Workers:         workers,
+						},
+						Piggyback: true,
 					}
 					if mk != nil {
 						m := mk
@@ -93,14 +96,16 @@ func TestShardDeterminismUnderFailures(t *testing.T) {
 		tp, _ := topo.NewParallel(16, 4)
 		ep := DefaultTiming().EpochLen(16)
 		return Config{
-			Topology:        tp,
-			HostRate:        sim.Gbps(200),
-			Piggyback:       true,
-			PriorityQueues:  true,
-			Seed:            1,
-			CheckInvariants: true,
-			Workers:         workers,
-			Failures:        failure.Random(16, 4, 0.2, sim.Time(20*ep), sim.Time(150*ep), 3*ep, 9),
+			Config: fabric.Config{
+				Topology:        tp,
+				HostRate:        sim.Gbps(200),
+				PriorityQueues:  true,
+				Seed:            1,
+				CheckInvariants: true,
+				Workers:         workers,
+				Failures:        failure.Random(16, 4, 0.2, sim.Time(20*ep), sim.Time(150*ep), 3*ep, 9),
+			},
+			Piggyback: true,
 		}
 	}
 	epochs := 300
@@ -119,31 +124,31 @@ func TestShardDeterminismUnderFailures(t *testing.T) {
 // ordered mutation must force sequential execution.
 func TestWorkersClampedForSequentialFeatures(t *testing.T) {
 	tc, _ := topo.NewThinClos(16, 4, 4)
-	base := Config{Topology: tc, Workers: 4}
+	base := Config{Config: fabric.Config{Topology: tc, Workers: 4}}
 
 	cfg := base
 	cfg.Relay = &RelayConfig{}
-	if e, _ := New(cfg); e.Workers() != 1 {
-		t.Errorf("relay: workers = %d, want 1", e.Workers())
+	if e, _ := New(cfg); e.fab.Workers != 1 {
+		t.Errorf("relay: workers = %d, want 1", e.fab.Workers)
 	}
 	cfg = base
 	cfg.TrackReceiverBuffers = true
-	if e, _ := New(cfg); e.Workers() != 1 {
-		t.Errorf("rx buffers: workers = %d, want 1", e.Workers())
+	if e, _ := New(cfg); e.fab.Workers != 1 {
+		t.Errorf("rx buffers: workers = %d, want 1", e.fab.Workers)
 	}
 	cfg = base
 	cfg.OnDeliver = func(int, sim.Time, int64) {}
-	if e, _ := New(cfg); e.Workers() != 1 {
-		t.Errorf("OnDeliver: workers = %d, want 1", e.Workers())
+	if e, _ := New(cfg); e.fab.Workers != 1 {
+		t.Errorf("OnDeliver: workers = %d, want 1", e.fab.Workers)
 	}
 	cfg = base
-	if e, _ := New(cfg); e.Workers() != 4 {
-		t.Errorf("plain: workers = %d, want 4", e.Workers())
+	if e, _ := New(cfg); e.fab.Workers != 4 {
+		t.Errorf("plain: workers = %d, want 4", e.fab.Workers)
 	}
 	cfg = base
 	cfg.Workers = 1000 // capped at ToR count
-	if e, _ := New(cfg); e.Workers() != 16 {
-		t.Errorf("cap: workers = %d, want 16", e.Workers())
+	if e, _ := New(cfg); e.fab.Workers != 16 {
+		t.Errorf("cap: workers = %d, want 16", e.fab.Workers)
 	}
 }
 
@@ -167,8 +172,10 @@ func (u *unshardedMatcher) Feedback(g match.Grant, ok bool) { u.m.Feedback(g, ok
 func TestWorkersClampedForUnshardedMatcher(t *testing.T) {
 	tp, _ := topo.NewParallel(16, 4)
 	cfg := Config{
-		Topology: tp,
-		Workers:  4,
+		Config: fabric.Config{
+			Topology: tp,
+			Workers:  4,
+		},
 		NewMatcher: func(tp topo.Topology, tm Timing, r *sim.RNG) match.Matcher {
 			return &unshardedMatcher{m: match.NewNegotiator(tp, r)}
 		},
@@ -177,7 +184,7 @@ func TestWorkersClampedForUnshardedMatcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Workers() != 1 {
-		t.Errorf("custom non-Sharded matcher: workers = %d, want 1", e.Workers())
+	if e.fab.Workers != 1 {
+		t.Errorf("custom non-Sharded matcher: workers = %d, want 1", e.fab.Workers)
 	}
 }

@@ -2,20 +2,10 @@ package negotiator
 
 import (
 	"fmt"
-	"io"
 
 	"negotiator/internal/match"
 	"negotiator/internal/snap"
 )
-
-// Snapshot serializes the engine's complete state (fabric core plus this
-// control plane's PlaneState payload) at an epoch boundary.
-func (e *Engine) Snapshot(w io.Writer) error { return e.fab.Snapshot(w) }
-
-// Restore applies a snapshot to a freshly constructed engine of the same
-// configuration. SetWorkload (with an identically constructed generator)
-// must be called first; see fabric.Core.Restore.
-func (e *Engine) Restore(r io.Reader) error { return e.fab.Restore(r) }
 
 // PlaneState implements fabric.StatefulPlane. The NegotiaToR plane's
 // persistent cross-epoch state is: the match-ratio series, the selective
@@ -93,7 +83,7 @@ func (e *Engine) PlaneState() ([]byte, error) {
 // PlaneState, applied to a freshly constructed engine. After decoding it
 // rebuilds the per-shard derived mirrors (matched/pending occupancy bits
 // and in-flight message counts) that a live run maintains incrementally —
-// the same invariants checkInvariants asserts.
+// the same invariants CheckRound asserts.
 func (e *Engine) RestorePlaneState(data []byte) error {
 	d := snap.NewDec(data)
 	rn := int(d.U32())

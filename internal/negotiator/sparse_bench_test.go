@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
@@ -30,11 +31,13 @@ func sparseEngine(tb testing.TB, n, active, workers int) *Engine {
 		tb.Fatal(err)
 	}
 	e, err := New(Config{
-		Topology:  top,
-		HostRate:  sim.Gbps(400),
+		Config: fabric.Config{
+			Topology: top,
+			HostRate: sim.Gbps(400),
+			Seed:     1,
+			Workers:  workers,
+		},
 		Piggyback: true,
-		Seed:      1,
-		Workers:   workers,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -43,8 +46,8 @@ func sparseEngine(tb testing.TB, n, active, workers int) *Engine {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e.SetWorkload(perm)
-	e.RunEpochs(8)
+	e.fab.SetWorkload(perm)
+	e.fab.RunRounds(8)
 	if !e.fab.WorkloadDone() {
 		tb.Fatal("sparse steady state not reached: workload not exhausted")
 	}
@@ -60,7 +63,7 @@ func BenchmarkEpochSparse1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.fab.RunRound()
 	}
 }
 
@@ -74,7 +77,7 @@ func BenchmarkEpochSparse4096(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.fab.RunRound()
 	}
 }
 
@@ -96,7 +99,7 @@ func BenchmarkEpochSparse8192(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.fab.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(float64(total)/8192, "setup-bytes/ToR")
@@ -121,7 +124,7 @@ func BenchmarkEpochSparse65536(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runEpoch()
+		e.fab.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(float64(total)/65536, "setup-bytes/ToR")

@@ -3,6 +3,7 @@ package oblivious
 import (
 	"testing"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
@@ -22,24 +23,26 @@ func steadySlotEngine(tb testing.TB, warmupSlots int) *Engine {
 		tb.Fatal(err)
 	}
 	e, err := New(Config{
-		Topology:        top,
-		HostRate:        sim.Gbps(400),
-		PriorityQueues:  true,
+		Config: fabric.Config{
+			Topology:       top,
+			HostRate:       sim.Gbps(400),
+			PriorityQueues: true,
+			Seed:           1,
+		},
 		SprayChunkCells: 64,
-		Seed:            1,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e.SetWorkload(workload.NewAllToAll(128, 4<<20, 0))
+	e.fab.SetWorkload(workload.NewAllToAll(128, 4<<20, 0))
 	for i := 0; i < warmupSlots; i++ {
-		e.runSlot()
+		e.fab.RunRound()
 	}
 	if !e.fab.WorkloadDone() {
 		tb.Fatal("steady state not reached: workload not exhausted")
 	}
-	if r := e.Results(); r.FCT.Count() != 0 {
-		tb.Fatalf("steady state spoiled: %d flows completed during warm-up", r.FCT.Count())
+	if r := e.fab; r.MergedFCT().Count() != 0 {
+		tb.Fatalf("steady state spoiled: %d flows completed during warm-up", r.MergedFCT().Count())
 	}
 	return e
 }
@@ -54,7 +57,7 @@ func TestSlotSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("paper-scale engine in -short mode")
 	}
 	e := steadySlotEngine(t, 2000)
-	allocs := testing.AllocsPerRun(100, func() { e.runSlot() })
+	allocs := testing.AllocsPerRun(100, func() { e.fab.RunRound() })
 	if allocs != 0 {
 		t.Errorf("steady-state slot allocates %.1f objects/slot, want 0", allocs)
 	}
@@ -68,6 +71,6 @@ func BenchmarkSlotSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.fab.RunRound()
 	}
 }

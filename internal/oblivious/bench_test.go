@@ -3,6 +3,7 @@ package oblivious
 import (
 	"testing"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
@@ -15,16 +16,18 @@ func benchEngine(b *testing.B, load float64) *Engine {
 		b.Fatal(err)
 	}
 	e, err := New(Config{
-		Topology:       top,
-		HostRate:       sim.Gbps(400),
-		PriorityQueues: true,
-		Seed:           1,
+		Config: fabric.Config{
+			Topology:       top,
+			HostRate:       sim.Gbps(400),
+			PriorityQueues: true,
+			Seed:           1,
+		},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 128, load, sim.Gbps(400), 7))
-	e.Run(100 * sim.Microsecond) // warm-up
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 128, load, sim.Gbps(400), 7))
+	e.fab.Run(100 * sim.Microsecond) // warm-up
 	return e
 }
 
@@ -35,7 +38,7 @@ func BenchmarkSlotSaturated(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.fab.RunRound()
 	}
 }
 
@@ -45,6 +48,6 @@ func BenchmarkSlotLight(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.fab.RunRound()
 	}
 }

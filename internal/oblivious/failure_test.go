@@ -43,24 +43,24 @@ func TestFailureConservation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.7, cfg.HostRate, 7))
-				e.Run(60 * sim.Microsecond)
-				e.SetWorkload(nil)
-				if !e.Drain(200_000) {
+				e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.7, cfg.HostRate, 7))
+				e.fab.Run(60 * sim.Microsecond)
+				e.fab.SetWorkload(nil)
+				if !e.fab.Drain(200_000) {
 					t.Fatal("fabric did not drain after recovery")
 				}
-				r := e.Results()
-				if r.LostBytes <= 0 {
+				r := e.fab
+				if r.Lost <= 0 {
 					t.Error("no bytes destroyed despite 20% links down mid-run")
 				}
 				if e.fab.Ledger.Lost != 0 {
 					t.Errorf("%d bytes still lost after recovery + drain", e.fab.Ledger.Lost)
 				}
-				if r.Delivered != r.Injected {
-					t.Errorf("delivered %d of %d injected", r.Delivered, r.Injected)
+				if r.Ledger.Delivered != r.Ledger.Injected {
+					t.Errorf("delivered %d of %d injected", r.Ledger.Delivered, r.Ledger.Injected)
 				}
-				if e.fab.Requeued() != r.LostBytes {
-					t.Errorf("requeued %d != destroyed %d after full drain", e.fab.Requeued(), r.LostBytes)
+				if e.fab.Requeued() != r.Lost {
+					t.Errorf("requeued %d != destroyed %d after full drain", e.fab.Requeued(), r.Lost)
 				}
 			})
 		}
@@ -80,11 +80,11 @@ func TestFailureDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 7))
-		e.Run(60 * sim.Microsecond)
-		r := e.Results()
+		e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.8, cfg.HostRate, 7))
+		e.fab.Run(60 * sim.Microsecond)
+		r := e.fab
 		return fmt.Sprintf("inj=%d del=%d lost=%d relayed=%d fct99=%v mice=%v cdf=%v",
-			r.Injected, r.Delivered, r.LostBytes, r.Relayed, r.FCT.P(99), r.FCT.MiceMean(), r.FCT.MiceCDF(16))
+			r.Ledger.Injected, r.Ledger.Delivered, r.Lost, e.relayed, r.MergedFCT().P(99), r.MergedFCT().MiceMean(), r.MergedFCT().MiceCDF(16))
 	}
 	want := fingerprint(1)
 	for _, workers := range []int{2, 4, 8, 16} {
@@ -104,18 +104,18 @@ func TestZeroDetectDelayNoLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.7, cfg.HostRate, 7))
-	e.Run(60 * sim.Microsecond)
-	e.SetWorkload(nil)
-	if !e.Drain(200_000) {
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.7, cfg.HostRate, 7))
+	e.fab.Run(60 * sim.Microsecond)
+	e.fab.SetWorkload(nil)
+	if !e.fab.Drain(200_000) {
 		t.Fatal("fabric did not drain")
 	}
-	r := e.Results()
-	if r.LostBytes != 0 {
-		t.Errorf("instant detection still destroyed %d bytes", r.LostBytes)
+	r := e.fab
+	if r.Lost != 0 {
+		t.Errorf("instant detection still destroyed %d bytes", r.Lost)
 	}
-	if r.Delivered != r.Injected {
-		t.Errorf("delivered %d of %d", r.Delivered, r.Injected)
+	if r.Ledger.Delivered != r.Ledger.Injected {
+		t.Errorf("delivered %d of %d", r.Ledger.Delivered, r.Ledger.Injected)
 	}
 }
 
@@ -130,17 +130,17 @@ func TestToRDownScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.7, cfg.HostRate, 7))
-	e.Run(60 * sim.Microsecond)
-	e.SetWorkload(nil)
-	if !e.Drain(200_000) {
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.7, cfg.HostRate, 7))
+	e.fab.Run(60 * sim.Microsecond)
+	e.fab.SetWorkload(nil)
+	if !e.fab.Drain(200_000) {
 		t.Fatal("fabric did not drain after the ToR restarted")
 	}
-	r := e.Results()
-	if r.LostBytes <= 0 {
+	r := e.fab
+	if r.Lost <= 0 {
 		t.Error("whole-ToR outage destroyed nothing")
 	}
-	if r.Delivered != r.Injected {
-		t.Errorf("delivered %d of %d after restart", r.Delivered, r.Injected)
+	if r.Ledger.Delivered != r.Ledger.Injected {
+		t.Errorf("delivered %d of %d after restart", r.Ledger.Delivered, r.Ledger.Injected)
 	}
 }

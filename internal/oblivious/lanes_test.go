@@ -15,11 +15,11 @@ import (
 func TestSprayUniformity(t *testing.T) {
 	cfg := testConfig(t)
 	e, _ := New(cfg)
-	e.inject(0) // no workload: establishes genDone
+	e.fab.Inject(0) // no workload: establishes genDone
 	src := e.fab.Nodes[2]
 	// Inject a large flow directly through the generator path.
-	e.SetWorkload(workload.NewSinglePair(2, 9, 4<<20, 0))
-	e.inject(0)
+	e.fab.SetWorkload(workload.NewSinglePair(2, 9, 4<<20, 0))
+	e.fab.Inject(0)
 	var total int64
 	counts := make([]int64, e.n)
 	for k := 0; k < e.n; k++ {
@@ -50,19 +50,19 @@ func TestLaneStallWastesSlot(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.RelayCap = 1 // one byte: every VOQ is effectively always full
 	e, _ := New(cfg)
-	e.SetWorkload(workload.NewSinglePair(0, 9, 1<<20, 0))
-	e.Run(20 * sim.Microsecond)
-	r := e.Results()
+	e.fab.SetWorkload(workload.NewSinglePair(0, 9, 1<<20, 0))
+	e.fab.Run(20 * sim.Microsecond)
+	r := e.fab
 	// A 1-byte VOQ admits one byte per drain cycle: relay throughput is
 	// throttled to a trickle.
-	if float64(r.Relayed) > 0.01*float64(r.Injected) {
-		t.Errorf("relayed %d of %d bytes despite 1-byte VOQs", r.Relayed, r.Injected)
+	if float64(e.relayed) > 0.01*float64(r.Ledger.Injected) {
+		t.Errorf("relayed %d of %d bytes despite 1-byte VOQs", e.relayed, r.Ledger.Injected)
 	}
-	if r.Delivered == 0 {
+	if r.Ledger.Delivered == 0 {
 		t.Error("the direct-luck lane should still deliver")
 	}
-	if float64(r.Delivered) > 0.2*float64(r.Injected) {
-		t.Errorf("delivered %d of %d: stalls should throttle hard", r.Delivered, r.Injected)
+	if float64(r.Ledger.Delivered) > 0.2*float64(r.Ledger.Injected) {
+		t.Errorf("delivered %d of %d: stalls should throttle hard", r.Ledger.Delivered, r.Ledger.Injected)
 	}
 }
 
@@ -76,13 +76,13 @@ func TestMiceOvertakeElephantsWithinLane(t *testing.T) {
 		e, _ := New(cfg)
 		elephant := workload.NewSinglePair(0, 9, 8<<20, 0)
 		mouse := workload.NewSinglePair(0, 5, 800, 1000)
-		e.SetWorkload(workload.NewMerge(elephant, mouse))
-		e.Run(2 * sim.Millisecond)
-		r := e.Results()
-		if r.FCT.MiceCount() != 1 {
+		e.fab.SetWorkload(workload.NewMerge(elephant, mouse))
+		e.fab.Run(2 * sim.Millisecond)
+		r := e.fab
+		if r.MergedFCT().MiceCount() != 1 {
 			t.Fatalf("mouse incomplete (pq=%v)", pq)
 		}
-		return r.FCT.MiceP(100)
+		return r.MergedFCT().MiceP(100)
 	}
 	withPQ, withoutPQ := run(true), run(false)
 	if withPQ > withoutPQ {
@@ -101,19 +101,19 @@ func TestRelayedBytesWaitPropagation(t *testing.T) {
 		}
 	}
 	e, _ := New(cfg)
-	e.SetWorkload(workload.NewSinglePair(0, 9, 50<<10, 0))
-	e.Run(100 * sim.Microsecond)
+	e.fab.SetWorkload(workload.NewSinglePair(0, 9, 50<<10, 0))
+	e.fab.Run(100 * sim.Microsecond)
 	// The very first delivery may be the 1-hop-lucky lane: >= 1 prop.
 	if firstDelivery < sim.Time(cfg.Timing.PropDelay) {
 		t.Errorf("delivery at %v before one propagation delay", firstDelivery)
 	}
 	// All bytes delivered; the bulk (relayed) took >= 2 props. Check the
 	// flow's completion.
-	r := e.Results()
-	if r.FCT.Count() != 1 {
+	r := e.fab
+	if r.MergedFCT().Count() != 1 {
 		t.Fatal("flow incomplete")
 	}
-	if fct := r.FCT.P(100); fct < 2*cfg.Timing.PropDelay {
+	if fct := r.MergedFCT().P(100); fct < 2*cfg.Timing.PropDelay {
 		t.Errorf("FCT %v < two propagation delays; relay must traverse two hops", fct)
 	}
 }
@@ -133,8 +133,8 @@ func TestChunkGranularityConfigurable(t *testing.T) {
 		t.Fatalf("default chunk = %d, want 4", e2.cfg.SprayChunkCells)
 	}
 	// Finer chunks spread a mid-size flow over more lanes.
-	e.SetWorkload(workload.NewSinglePair(2, 9, 10*615*4, 0))
-	e.inject(0)
+	e.fab.SetWorkload(workload.NewSinglePair(2, 9, 10*615*4, 0))
+	e.fab.Inject(0)
 	lanes1 := 0
 	for k := 0; k < e.n; k++ {
 		if e.fab.Nodes[2].Lanes.Bytes(k) > 0 {
@@ -154,10 +154,10 @@ func TestObliviousTopologyIndependence(t *testing.T) {
 		cfg := testConfig(t)
 		cfg.Topology = top
 		e, _ := New(cfg)
-		e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 1.0, cfg.HostRate, 5))
-		e.Run(2 * sim.Millisecond)
-		r := e.Results()
-		return r.Goodput.Normalized(r.Duration, cfg.HostRate)
+		e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 1.0, cfg.HostRate, 5))
+		e.fab.Run(2 * sim.Millisecond)
+		r := e.fab
+		return r.MergedGoodput().Normalized(sim.Duration(r.Now()), cfg.HostRate)
 	}
 	p, _ := topo.NewParallel(16, 4)
 	tc, _ := topo.NewThinClos(16, 4, 4)

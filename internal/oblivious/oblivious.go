@@ -32,11 +32,9 @@ import (
 	"negotiator/internal/fabric"
 	"negotiator/internal/failure"
 	"negotiator/internal/flows"
-	"negotiator/internal/metrics"
 	"negotiator/internal/queue"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
-	"negotiator/internal/workload"
 )
 
 // Timing describes the baseline's slot structure: every slot pays a
@@ -86,19 +84,40 @@ func (t Timing) Validate() error {
 	return nil
 }
 
-// Config assembles the baseline fabric.
+// Config assembles the baseline fabric: the settings every plane hands
+// the fabric core plus the baseline's own.
+//
+// The baseline's relay-enabled round-robin performs identically on both
+// flat topologies (paper §4.1), so either Topology works. PriorityQueues
+// applies at sources only. Failures (owned and advanced by the fabric
+// core): known-down links are excluded from service — relay, lane and
+// spray alike, since every transmission in slot (i, s) rides the same
+// physical fibre pair — while links that are down but not yet detected
+// silently destroy the bytes sent across them, to be requeued at the
+// source once the detection delay elapses. Lane-discipline losses requeue
+// into the lane they came from (the source never serves its direct set),
+// relay second hops back into the relay FIFO. TrackReceiverBuffers is not
+// modelled: the slot plane has no sequential clamp for it, so New clears
+// it.
+//
+// Workers splits the ToRs into contiguous shards, and each timeslot
+// executes as barrier-synchronized phases — shard-local relay drains,
+// then shard-local lane/spray service against the drained VOQ occupancy
+// snapshot, then a serial merge that applies relay pushes and delivery
+// accounting in shard (= ToR) order. Results are identical at any value.
+// Sharding fixes the backpressure semantics at any worker count: a
+// source's VOQ-headroom check reads the slot-start occupancy after all
+// second-hop drains but before this slot's pushes — same-slot pushes from
+// other sources are invisible, mirroring the physical reality that
+// occupancy feedback is at least a propagation delay stale. A VOQ may
+// therefore briefly exceed RelayCap by up to one cell per connected
+// source per slot. Observer callbacks (OnDeliver, OnTransit) fire from
+// the serial merge in a fixed order (drain deliveries, transits, serve
+// deliveries, each in ToR order), identical at any worker count.
 type Config struct {
-	// Topology supplies the round-robin schedule. The baseline's
-	// relay-enabled round-robin performs identically on both flat
-	// topologies (paper §4.1), so either works.
-	Topology topo.Topology
+	fabric.Config
 	// Timing is the slot structure; zero means DefaultTiming.
 	Timing Timing
-	// HostRate is the per-ToR host aggregate (400 Gbps), for goodput
-	// normalisation.
-	HostRate sim.Rate
-	// PriorityQueues enables source-side PIAS prioritisation.
-	PriorityQueues bool
 	// RelayCap bounds each (intermediate, destination) relay VOQ. Zero
 	// means 64 cells (~39 KB): deep enough that elephants spread across
 	// the fabric block mice at intermediates — the paper's criticism of
@@ -119,59 +138,9 @@ type Config struct {
 	// RotorLB-style relay > direct > indirect order. The paper's baseline
 	// follows Sirius; the opportunistic variant is kept for ablations.
 	OpportunisticDirect bool
-	// Seed drives the spray randomness.
-	Seed int64
-	// Failures optionally injects link failures (owned and advanced by the
-	// fabric core): known-down links are excluded from service — relay,
-	// lane and spray alike, since every transmission in slot (i, s) rides
-	// the same physical fibre pair — while links that are down but not yet
-	// detected silently destroy the bytes sent across them, to be requeued
-	// at the source once the detection delay elapses. Lane-discipline
-	// losses requeue into the lane they came from (the source never serves
-	// its direct set), relay second hops back into the relay FIFO.
-	Failures *failure.Plan
-	// CheckInvariants enables byte-conservation assertions.
-	CheckInvariants bool
-	// DisableEventSkip forces the run loop to tick every timeslot even
-	// when the fabric is provably idle. Results are byte-identical either
-	// way; the knob exists for A/B benchmarks and equivalence tests.
-	DisableEventSkip bool
-	// OnDeliver observes final-destination deliveries.
-	OnDeliver func(dst int, at sim.Time, n int64)
 	// OnTransit observes first-hop (intermediate) arrivals, the "light
 	// grey dots" of the paper's Figure 18.
 	OnTransit func(intermediate int, at sim.Time, n int64)
-	// Workers is the intra-run shard parallelism: the ToRs split into
-	// Workers contiguous shards, and each timeslot executes as
-	// barrier-synchronized phases — shard-local relay drains, then
-	// shard-local lane/spray service against the drained VOQ occupancy
-	// snapshot, then a serial merge that applies relay pushes and delivery
-	// accounting in shard (= ToR) order. Results are identical at any
-	// value (0 or 1 = sequential); the count is capped at the ToR count.
-	//
-	// Sharding fixes the backpressure semantics at any worker count: a
-	// source's VOQ-headroom check reads the slot-start occupancy after all
-	// second-hop drains but before this slot's pushes — same-slot pushes
-	// from other sources are invisible, mirroring the physical reality
-	// that occupancy feedback is at least a propagation delay stale. A
-	// VOQ may therefore briefly exceed RelayCap by up to one cell per
-	// connected source per slot. Observer callbacks fire from the serial
-	// merge in a fixed order (drain deliveries, transits, serve
-	// deliveries, each in ToR order), identical at any worker count.
-	Workers int
-}
-
-// Results summarises a run.
-type Results struct {
-	FCT       *metrics.FCTStats
-	Goodput   *metrics.Goodput
-	Tags      map[int]*fabric.TagStat
-	Duration  sim.Duration
-	Slots     int64 // timeslots executed
-	Injected  int64
-	Delivered int64
-	Relayed   int64 // bytes that took a first hop (transit volume)
-	LostBytes int64 // bytes destroyed by failures (before requeue), cumulative
 }
 
 // Engine is the traffic-oblivious control plane over the shared fabric
@@ -292,9 +261,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Timing == (Timing{}) {
 		cfg.Timing = DefaultTiming()
 	}
-	if cfg.HostRate == 0 {
-		cfg.HostRate = sim.Gbps(400)
-	}
 	if err := cfg.Timing.Validate(); err != nil {
 		return nil, err
 	}
@@ -314,18 +280,9 @@ func New(cfg Config) (*Engine, error) {
 		e.cfg.SprayChunkCells = 4
 	}
 	e.lanes = !e.cfg.OpportunisticDirect && !e.cfg.DirectOnly
-	fab, err := fabric.New(fabric.Config{
-		Topology:         cfg.Topology,
-		HostRate:         cfg.HostRate,
-		Workers:          cfg.Workers,
-		Seed:             cfg.Seed,
-		PriorityQueues:   cfg.PriorityQueues,
-		Lanes:            e.lanes,
-		Relay:            true,
-		OnDeliver:        cfg.OnDeliver,
-		Failures:         cfg.Failures,
-		DisableEventSkip: cfg.DisableEventSkip,
-	})
+	fc := cfg.Config
+	fc.TrackReceiverBuffers = false
+	fab, err := fabric.New(fc, fabric.Layout{Lanes: e.lanes, Relay: true})
 	if err != nil {
 		return nil, err
 	}
@@ -410,14 +367,8 @@ func (e *Engine) initShards() {
 	e.stepServe = func(k int) { e.shards[k].serveStep() }
 }
 
-// inject pumps pending arrivals (test hook; the run loop pumps per slot).
-func (e *Engine) inject(t sim.Time) { e.fab.Inject(t) }
-
-// Workers reports the effective shard parallelism.
-func (e *Engine) Workers() int { return e.workers }
-
-// SetWorkload attaches the arrival stream.
-func (e *Engine) SetWorkload(g workload.Generator) { e.fab.SetWorkload(g) }
+// Core returns the fabric core the engine drives.
+func (e *Engine) Core() *fabric.Core { return e.fab }
 
 // Name identifies the control plane.
 func (e *Engine) Name() string { return "oblivious" }
@@ -425,44 +376,10 @@ func (e *Engine) Name() string { return "oblivious" }
 // RoundLen implements fabric.ControlPlane: one round is one timeslot.
 func (e *Engine) RoundLen() sim.Duration { return e.timing.Slot }
 
-// CycleLen returns the all-to-all round-robin cycle duration.
-func (e *Engine) CycleLen() sim.Duration {
-	return sim.Duration(e.slots) * e.timing.Slot
-}
-
-// SlotsPerCycle returns the number of timeslots in one round-robin cycle.
+// SlotsPerCycle returns the number of timeslots in one round-robin cycle
+// (the baseline's epoch analogue: one all-to-all sweep of the predefined
+// schedule).
 func (e *Engine) SlotsPerCycle() int { return e.slots }
-
-// Now returns the current simulated time.
-func (e *Engine) Now() sim.Time { return e.fab.Now() }
-
-// Run advances until at least d has elapsed.
-func (e *Engine) Run(d sim.Duration) { e.fab.Run(d) }
-
-// runSlot advances one timeslot (test and benchmark hook).
-func (e *Engine) runSlot() { e.fab.RunRound() }
-
-// RunCycles advances exactly k full round-robin cycles (the baseline's
-// epoch analogue: one all-to-all sweep of the predefined schedule).
-func (e *Engine) RunCycles(k int) { e.fab.RunRounds(k * e.slots) }
-
-// Drain runs until all injected bytes are delivered or maxSlots elapse.
-func (e *Engine) Drain(maxSlots int) bool { return e.fab.Drain(maxSlots) }
-
-// Results snapshots the measurements.
-func (e *Engine) Results() Results {
-	return Results{
-		FCT:       e.fab.MergedFCT(),
-		Goodput:   e.fab.MergedGoodput(),
-		Tags:      e.fab.Tags,
-		Duration:  sim.Duration(e.fab.Now()),
-		Slots:     e.fab.Rounds(),
-		Injected:  e.fab.Ledger.Injected,
-		Delivered: e.fab.Ledger.Delivered,
-		Relayed:   e.relayed,
-		LostBytes: e.fab.Lost,
-	}
-}
 
 // Round implements fabric.ControlPlane: one timeslot through the
 // barrier-synchronized shard phases:
@@ -530,20 +447,13 @@ func (e *Engine) Round() {
 // until new bytes arrive.
 func (e *Engine) IdleHorizon() sim.Time { return fabric.HorizonInfinite }
 
-// CheckRound implements fabric.RoundChecker when invariant checking is on.
+// CheckRound implements fabric.RoundChecker (invoked under
+// CheckInvariants after the core's own conservation and occupancy
+// checks): every relay FIFO's byte counter mirrors its contents.
 func (e *Engine) CheckRound() {
-	if !e.cfg.CheckInvariants {
-		return
-	}
 	for _, nd := range e.fab.Nodes {
 		nd.CheckRelayCounter()
 	}
-	if e.cfg.Failures != nil {
-		e.fab.CheckConservation() // ledger check plus loss-record identities
-	} else if err := e.fab.Ledger.Check(e.fab.QueuedInNodes()); err != nil {
-		panic(err)
-	}
-	e.fab.CheckOccupancy()
 }
 
 // drainStep is phase A for one shard: second-hop relay traffic destined to

@@ -3,6 +3,7 @@ package oblivious
 import (
 	"testing"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
@@ -19,11 +20,13 @@ func testTopo(t *testing.T) topo.Topology {
 
 func testConfig(t *testing.T) Config {
 	return Config{
-		Topology:        testTopo(t),
-		HostRate:        sim.Gbps(200),
-		PriorityQueues:  true,
-		Seed:            1,
-		CheckInvariants: true,
+		Config: fabric.Config{
+			Topology:        testTopo(t),
+			HostRate:        sim.Gbps(200),
+			PriorityQueues:  true,
+			Seed:            1,
+			CheckInvariants: true,
+		},
 	}
 }
 
@@ -48,7 +51,7 @@ func TestCycleLen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 16 ToRs, 4 ports thin-clos: 4 slots of 60ns.
-	if got := e.CycleLen(); got != 240 {
+	if got := sim.Duration(e.SlotsPerCycle()) * e.RoundLen(); got != 240 {
 		t.Errorf("cycle = %v, want 240ns", got)
 	}
 }
@@ -57,24 +60,24 @@ func TestVLBTakesTwoHops(t *testing.T) {
 	// Under the Sirius discipline, most bytes relay through an
 	// intermediate; delivery needs two propagation delays.
 	e, _ := New(testConfig(t))
-	e.SetWorkload(workload.NewSinglePair(0, 9, 20<<10, 0))
-	e.Run(100 * sim.Microsecond)
-	r := e.Results()
-	if r.Delivered != 20<<10 {
-		t.Fatalf("delivered %d of %d", r.Delivered, 20<<10)
+	e.fab.SetWorkload(workload.NewSinglePair(0, 9, 20<<10, 0))
+	e.fab.Run(100 * sim.Microsecond)
+	r := e.fab
+	if r.Ledger.Delivered != 20<<10 {
+		t.Fatalf("delivered %d of %d", r.Ledger.Delivered, 20<<10)
 	}
-	if r.Relayed == 0 {
+	if e.relayed == 0 {
 		t.Fatal("no bytes relayed under VLB")
 	}
 	// Most traffic took the two-hop path (1/16 lands direct by luck).
-	if float64(r.Relayed) < 0.7*float64(r.Delivered) {
-		t.Errorf("relayed only %d of %d delivered bytes", r.Relayed, r.Delivered)
+	if float64(e.relayed) < 0.7*float64(r.Ledger.Delivered) {
+		t.Errorf("relayed only %d of %d delivered bytes", e.relayed, r.Ledger.Delivered)
 	}
-	if r.FCT.Count() != 1 {
-		t.Fatalf("flow count = %d", r.FCT.Count())
+	if r.MergedFCT().Count() != 1 {
+		t.Fatalf("flow count = %d", r.MergedFCT().Count())
 	}
 	// FCT includes at least two propagation delays.
-	if got := r.FCT.P(100); got < 4*sim.Microsecond {
+	if got := r.MergedFCT().P(100); got < 4*sim.Microsecond {
 		t.Errorf("two-hop FCT = %v, want >= 4µs (2 hops x 2µs)", got)
 	}
 }
@@ -83,14 +86,14 @@ func TestDirectOnlyNeverRelays(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.DirectOnly = true
 	e, _ := New(cfg)
-	e.SetWorkload(workload.NewSinglePair(0, 9, 20<<10, 0))
-	e.Run(100 * sim.Microsecond)
-	r := e.Results()
-	if r.Relayed != 0 {
-		t.Errorf("DirectOnly relayed %d bytes", r.Relayed)
+	e.fab.SetWorkload(workload.NewSinglePair(0, 9, 20<<10, 0))
+	e.fab.Run(100 * sim.Microsecond)
+	r := e.fab
+	if e.relayed != 0 {
+		t.Errorf("DirectOnly relayed %d bytes", e.relayed)
 	}
-	if r.Delivered != 20<<10 {
-		t.Errorf("delivered %d", r.Delivered)
+	if r.Ledger.Delivered != 20<<10 {
+		t.Errorf("delivered %d", r.Ledger.Delivered)
 	}
 }
 
@@ -101,12 +104,12 @@ func TestOpportunisticDirectRelaysLess(t *testing.T) {
 		cfg := testConfig(t)
 		cfg.OpportunisticDirect = opp
 		e, _ := New(cfg)
-		e.SetWorkload(workload.NewAllToAll(16, 10<<10, 0))
-		if !e.Drain(1_000_000) {
+		e.fab.SetWorkload(workload.NewAllToAll(16, 10<<10, 0))
+		if !e.fab.Drain(1_000_000) {
 			t.Fatal("drain failed")
 		}
-		r := e.Results()
-		return r.Relayed, r.Delivered
+		r := e.fab
+		return e.relayed, r.Ledger.Delivered
 	}
 	oppRelay, oppDel := run(true)
 	vlbRelay, vlbDel := run(false)
@@ -122,12 +125,12 @@ func TestRelayDoublesTrafficVolume(t *testing.T) {
 	// The paper's core criticism: data relay doubles the traffic volume.
 	// Under all-to-all load, relayed bytes approach delivered bytes.
 	e, _ := New(testConfig(t))
-	e.SetWorkload(workload.NewAllToAll(16, 30<<10, 0))
-	if !e.Drain(2_000_000) {
+	e.fab.SetWorkload(workload.NewAllToAll(16, 30<<10, 0))
+	if !e.fab.Drain(2_000_000) {
 		t.Fatal("failed to drain")
 	}
-	r := e.Results()
-	ratio := float64(r.Relayed) / float64(r.Delivered)
+	r := e.fab
+	ratio := float64(e.relayed) / float64(r.Ledger.Delivered)
 	if ratio < 0.8 {
 		t.Errorf("relay ratio = %.2f, want ~0.94 (15/16 two-hop)", ratio)
 	}
@@ -138,8 +141,8 @@ func TestRelayCapBackpressure(t *testing.T) {
 	cfg.RelayCap = 2 * DefaultTiming().CellBytes()
 	cfg.CheckInvariants = true
 	e, _ := New(cfg)
-	e.SetWorkload(workload.NewAllToAll(16, 100<<10, 0))
-	e.Run(200 * sim.Microsecond)
+	e.fab.SetWorkload(workload.NewAllToAll(16, 100<<10, 0))
+	e.fab.Run(200 * sim.Microsecond)
 	// The cap bounds each (intermediate, destination) VOQ, but the
 	// headroom check reads the slot-start occupancy snapshot (backpressure
 	// feedback is a propagation delay stale, see Config.Workers): every
@@ -159,10 +162,10 @@ func TestRelayCapBackpressure(t *testing.T) {
 func TestConservationUnderLoad(t *testing.T) {
 	cfg := testConfig(t)
 	e, _ := New(cfg)
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 1.0, cfg.HostRate, 7))
-	e.Run(300 * sim.Microsecond) // CheckInvariants panics on violation
-	r := e.Results()
-	if r.FCT.Count() == 0 {
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 1.0, cfg.HostRate, 7))
+	e.fab.Run(300 * sim.Microsecond) // CheckInvariants panics on violation
+	r := e.fab
+	if r.MergedFCT().Count() == 0 {
 		t.Error("no completions")
 	}
 }
@@ -173,10 +176,10 @@ func TestGoodputCollapsesUnderHeavyLoad(t *testing.T) {
 	// worst-case goodput ~50%).
 	cfg := testConfig(t)
 	e, _ := New(cfg)
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 1.0, cfg.HostRate, 11))
-	e.Run(3 * sim.Millisecond)
-	r := e.Results()
-	norm := r.Goodput.Normalized(r.Duration, cfg.HostRate)
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 1.0, cfg.HostRate, 11))
+	e.fab.Run(3 * sim.Millisecond)
+	r := e.fab
+	norm := r.MergedGoodput().Normalized(sim.Duration(r.Now()), cfg.HostRate)
 	if norm > 0.8 {
 		t.Errorf("oblivious goodput %.2f at 100%% load, expected relay-limited (< 0.8)", norm)
 	}
@@ -192,9 +195,9 @@ func TestIncastTagging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(inc)
-	e.Run(200 * sim.Microsecond)
-	ts := e.Results().Tags[1]
+	e.fab.SetWorkload(inc)
+	e.fab.Run(200 * sim.Microsecond)
+	ts := e.fab.Tags[1]
 	if ts == nil || ts.Done != 10 {
 		t.Fatalf("incast incomplete: %+v", ts)
 	}
@@ -210,16 +213,16 @@ func TestTransitObserver(t *testing.T) {
 	var delivered int64
 	cfg.OnDeliver = func(d int, at sim.Time, n int64) { delivered += n }
 	e, _ := New(cfg)
-	e.SetWorkload(workload.NewSinglePair(0, 9, 10<<10, 0))
-	e.Run(100 * sim.Microsecond)
+	e.fab.SetWorkload(workload.NewSinglePair(0, 9, 10<<10, 0))
+	e.fab.Run(100 * sim.Microsecond)
 	if transit == 0 {
 		t.Error("no transit observed")
 	}
 	if delivered != 10<<10 {
 		t.Errorf("observer saw %d delivered", delivered)
 	}
-	if transit != e.Results().Relayed {
-		t.Errorf("transit observer %d != relayed %d", transit, e.Results().Relayed)
+	if transit != e.relayed {
+		t.Errorf("transit observer %d != relayed %d", transit, e.relayed)
 	}
 }
 
@@ -227,9 +230,9 @@ func TestDeterminism(t *testing.T) {
 	run := func() int64 {
 		cfg := testConfig(t)
 		e, _ := New(cfg)
-		e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.6, cfg.HostRate, 99))
-		e.Run(300 * sim.Microsecond)
-		return e.Results().Delivered
+		e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.6, cfg.HostRate, 99))
+		e.fab.Run(300 * sim.Microsecond)
+		return e.fab.Ledger.Delivered
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("non-deterministic: %d vs %d", a, b)
@@ -247,9 +250,9 @@ func TestWorksOnParallelTopologyToo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.5, cfg.HostRate, 3))
-	e.Run(200 * sim.Microsecond)
-	if e.Results().FCT.Count() == 0 {
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.5, cfg.HostRate, 3))
+	e.fab.Run(200 * sim.Microsecond)
+	if e.fab.MergedFCT().Count() == 0 {
 		t.Error("no completions on parallel topology")
 	}
 }

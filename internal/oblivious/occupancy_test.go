@@ -2,6 +2,7 @@ package oblivious
 
 import (
 	"fmt"
+	"negotiator/internal/fabric"
 	"testing"
 
 	"negotiator/internal/queue"
@@ -34,10 +35,10 @@ func TestOccupancyInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.9, cfg.HostRate, 7))
-				e.Run(100 * sim.Microsecond)
-				e.SetWorkload(nil)
-				e.Drain(20000)
+				e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), 16, 0.9, cfg.HostRate, 7))
+				e.fab.Run(100 * sim.Microsecond)
+				e.fab.SetWorkload(nil)
+				e.fab.Drain(20000)
 			})
 		}
 	}
@@ -57,10 +58,10 @@ func TestOccupancyInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWorkload(perm)
-		e.Run(100 * sim.Microsecond)
-		e.SetWorkload(nil)
-		if !e.Drain(20000) {
+		e.fab.SetWorkload(perm)
+		e.fab.Run(100 * sim.Microsecond)
+		e.fab.SetWorkload(nil)
+		if !e.fab.Drain(20000) {
 			t.Fatal("sparse permutation did not drain")
 		}
 		for i := 4; i < 16; i++ {
@@ -82,11 +83,13 @@ func TestOccupancyInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := Config{
-			Topology:            top,
-			HostRate:            sim.Gbps(200),
-			PriorityQueues:      true,
-			Seed:                1,
-			CheckInvariants:     true,
+			Config: fabric.Config{
+				Topology:        top,
+				HostRate:        sim.Gbps(200),
+				PriorityQueues:  true,
+				Seed:            1,
+				CheckInvariants: true,
+			},
 			OpportunisticDirect: true,
 		}
 		perm, err := workload.NewPermutation(2*queue.PageSize, 16, 1<<18, 0)
@@ -97,10 +100,10 @@ func TestOccupancyInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetWorkload(perm)
-		e.Run(200 * sim.Microsecond)
-		e.SetWorkload(nil)
-		if !e.Drain(60000) {
+		e.fab.SetWorkload(perm)
+		e.fab.Run(200 * sim.Microsecond)
+		e.fab.SetWorkload(nil)
+		if !e.fab.Drain(60000) {
 			t.Fatal("paged sparse permutation did not drain")
 		}
 		lastDst := 2*queue.PageSize - 1

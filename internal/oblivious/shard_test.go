@@ -2,6 +2,7 @@ package oblivious
 
 import (
 	"fmt"
+	"negotiator/internal/fabric"
 	"strings"
 	"testing"
 
@@ -24,13 +25,13 @@ func obFingerprint(t *testing.T, cfg Config, d sim.Duration, load float64) strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetWorkload(workload.NewPoisson(workload.Hadoop(), cfg.Topology.N(), load, cfg.HostRate, 21))
-	e.Run(d)
-	r := e.Results()
+	e.fab.SetWorkload(workload.NewPoisson(workload.Hadoop(), cfg.Topology.N(), load, cfg.HostRate, 21))
+	e.fab.Run(d)
+	r := e.fab
 	return fmt.Sprintf("flows=%d mice=%d p99=%v mp99=%v mean=%v goodput=%d slots=%d inj=%d del=%d rel=%d tags=%v cdf=%v obslen=%d obs=%s",
-		r.FCT.Count(), r.FCT.MiceCount(), r.FCT.P(99), r.FCT.MiceP(99), r.FCT.Mean(),
-		r.Goodput.TotalBytes(), r.Slots, r.Injected, r.Delivered, r.Relayed,
-		r.Tags, r.FCT.MiceCDF(16), obs.Len(), obs.String())
+		r.MergedFCT().Count(), r.MergedFCT().MiceCount(), r.MergedFCT().P(99), r.MergedFCT().MiceP(99), r.MergedFCT().Mean(),
+		r.MergedGoodput().TotalBytes(), r.Rounds(), r.Ledger.Injected, r.Ledger.Delivered, e.relayed,
+		r.Tags, r.MergedFCT().MiceCDF(16), obs.Len(), obs.String())
 }
 
 // TestShardDeterminismOblivious: the baseline must produce identical
@@ -54,12 +55,14 @@ func TestShardDeterminismOblivious(t *testing.T) {
 			build := func(workers int) Config {
 				tc, _ := topo.NewThinClos(16, 4, 4)
 				cfg := Config{
-					Topology:        tc,
-					HostRate:        sim.Gbps(200),
-					PriorityQueues:  true,
-					Seed:            1,
-					CheckInvariants: true,
-					Workers:         workers,
+					Config: fabric.Config{
+						Topology:        tc,
+						HostRate:        sim.Gbps(200),
+						PriorityQueues:  true,
+						Seed:            1,
+						CheckInvariants: true,
+						Workers:         workers,
+					},
 				}
 				disc.mod(&cfg)
 				return cfg
@@ -80,11 +83,11 @@ func TestRunCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunCycles(3)
-	if got := e.Results().Slots; got != int64(3*e.slots) {
+	e.fab.RunRounds(3 * e.slots)
+	if got := e.fab.Rounds(); got != int64(3*e.slots) {
 		t.Errorf("slots = %d, want %d", got, 3*e.slots)
 	}
-	if got, want := e.Now(), sim.Time(3*e.slots)*sim.Time(e.timing.Slot); got != want {
+	if got, want := e.fab.Now(), sim.Time(3*e.slots)*sim.Time(e.timing.Slot); got != want {
 		t.Errorf("now = %v, want %v", got, want)
 	}
 }
@@ -97,7 +100,7 @@ func TestWorkersCappedAtToRs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Workers() != 16 {
-		t.Errorf("workers = %d, want 16", e.Workers())
+	if e.fab.Workers != 16 {
+		t.Errorf("workers = %d, want 16", e.fab.Workers)
 	}
 }

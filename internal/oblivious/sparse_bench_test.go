@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/sim"
 	"negotiator/internal/topo"
 	"negotiator/internal/workload"
@@ -25,10 +26,12 @@ func sparseEngine(tb testing.TB, n, active int) *Engine {
 		tb.Fatal(err)
 	}
 	e, err := New(Config{
-		Topology:            top,
-		HostRate:            sim.Gbps(400),
+		Config: fabric.Config{
+			Topology: top,
+			HostRate: sim.Gbps(400),
+			Seed:     1,
+		},
 		OpportunisticDirect: true,
-		Seed:                1,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -37,9 +40,9 @@ func sparseEngine(tb testing.TB, n, active int) *Engine {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e.SetWorkload(perm)
+	e.fab.SetWorkload(perm)
 	for i := 0; i < 2*e.slots; i++ {
-		e.runSlot()
+		e.fab.RunRound()
 	}
 	if !e.fab.WorkloadDone() {
 		tb.Fatal("sparse steady state not reached: workload not exhausted")
@@ -55,7 +58,7 @@ func BenchmarkSlotSparse1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.fab.RunRound()
 	}
 }
 
@@ -67,7 +70,7 @@ func BenchmarkSlotSparse4096(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.fab.RunRound()
 	}
 }
 
@@ -91,7 +94,7 @@ func BenchmarkSlotSparse8192(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.fab.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(float64(total)/8192, "setup-bytes/ToR")
@@ -118,7 +121,7 @@ func BenchmarkSlotSparse65536(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.fab.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(float64(total)/65536, "setup-bytes/ToR")
@@ -145,7 +148,7 @@ func BenchmarkSlotSparse131072(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.fab.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(float64(total)/131072, "setup-bytes/ToR")
@@ -184,10 +187,12 @@ func millionFlowInject(tb testing.TB, grouped bool) (*Engine, uint64) {
 		tb.Fatal(err)
 	}
 	e, err := New(Config{
-		Topology:            top,
-		HostRate:            sim.Gbps(400),
+		Config: fabric.Config{
+			Topology: top,
+			HostRate: sim.Gbps(400),
+			Seed:     1,
+		},
 		OpportunisticDirect: true,
-		Seed:                1,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -202,11 +207,11 @@ func millionFlowInject(tb testing.TB, grouped bool) (*Engine, uint64) {
 	} else {
 		w = &replicateGen{g: perm, k: 4096}
 	}
-	e.SetWorkload(w)
+	e.fab.SetWorkload(w)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	e.runSlot() // every arrival is at t=0: one slot pumps them all
+	e.fab.RunRound() // every arrival is at t=0: one slot pumps them all
 	runtime.ReadMemStats(&after)
 	if !e.fab.WorkloadDone() {
 		tb.Fatal("first slot did not drain the workload")
@@ -251,7 +256,7 @@ func BenchmarkMillionFlowGroups(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.runSlot()
+		e.fab.RunRound()
 	}
 	// After the loop: ResetTimer discards metrics reported before it.
 	b.ReportMetric(perFlowG, "grouped-bytes/flow")

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 
+	"negotiator/internal/fabric"
 	"negotiator/internal/failure"
 	"negotiator/internal/hybrid"
 	"negotiator/internal/match"
@@ -191,12 +192,6 @@ type Spec struct {
 	Topology Topology
 	// ControlPlane picks the scheduling engine (NegotiaToR by default).
 	ControlPlane ControlPlaneKind
-	// Oblivious builds the traffic-oblivious Sirius-like baseline instead
-	// of NegotiaToR.
-	//
-	// Deprecated: set ControlPlane: ObliviousPlane. Kept for
-	// compatibility; true overrides a NegotiaToRPlane ControlPlane.
-	Oblivious bool
 	// Scheduler picks the NegotiaToR scheduling policy (ignored for the
 	// baseline).
 	Scheduler Scheduler
@@ -241,19 +236,14 @@ type Spec struct {
 	// golden fingerprints); the knob exists for A/B benchmarks and the
 	// skip-equivalence tests.
 	DisableEventSkip bool
-	// DisableIncremental forces a from-scratch REQUEST sweep every epoch
-	// instead of replaying the cached emissions of sources whose demand
-	// did not change. Byte-identical either way; for A/B benchmarks and
-	// cache-equivalence tests. Ignored by the oblivious baseline, which
-	// has no request step.
-	DisableIncremental bool
 	// OnDeliver and OnTransit observe deliveries (and, for the baseline,
 	// first-hop transit arrivals).
 	OnDeliver func(dst int, at Time, n int64)
 	OnTransit func(intermediate int, at Time, n int64)
 	// TrackReceiverBuffers models the receiver-side ToR-to-host buffers of
 	// §3.6.5 (the optical fabric delivers at up to 2x the host drain rate)
-	// and reports their peak occupancy in Summary (NegotiaToR fabric only).
+	// and reports their peak occupancy in Summary (NegotiaToR and hybrid
+	// fabrics; the oblivious baseline ignores it).
 	TrackReceiverBuffers bool
 	// Workers is the intra-run shard parallelism: the fabric's ToRs split
 	// into Workers contiguous shards that execute each epoch (or timeslot)
@@ -359,17 +349,34 @@ func (s Spec) matcherFactory() func(topo.Topology, negotiator.Timing, *sim.RNG) 
 	}
 }
 
-// plane resolves the effective control plane (the deprecated Oblivious
-// flag maps onto ObliviousPlane).
-func (s Spec) plane() ControlPlaneKind {
-	if s.Oblivious && s.ControlPlane == NegotiaToRPlane {
-		return ObliviousPlane
+// obliviousTiming derives the baseline's slot structure from the spec.
+func (s Spec) obliviousTiming() oblivious.Timing {
+	t := oblivious.DefaultTiming()
+	t.LinkRate = s.LinkRate
+	t.PropDelay = s.PropDelay
+	if s.ReconfigDelay > 0 {
+		t.Slot = t.Slot - t.Guardband + s.ReconfigDelay
+		t.Guardband = s.ReconfigDelay
 	}
-	return s.ControlPlane
+	return t
 }
 
 // Build constructs the fabric described by the spec.
-func (s Spec) Build() (Fabric, error) {
+func (s Spec) Build() (Fabric, error) { return s.build(false) }
+
+// plane is what Build needs from a control-plane engine: the plane the
+// core runs and the core it runs on.
+type plane interface {
+	fabric.ControlPlane
+	Core() *fabric.Core
+}
+
+// build constructs the fabric. scratchRequests forces a from-scratch
+// REQUEST sweep every epoch instead of replaying the request cache: the
+// reference path the incremental-match equivalence test compares the
+// cache against (byte-identical either way; the oblivious baseline has no
+// request step).
+func (s Spec) build(scratchRequests bool) (Fabric, error) {
 	if s.Workers > s.ToRs {
 		// Shards are contiguous ToR ranges and every worker must own at
 		// least one: reject the oversubscription here, where the caller
@@ -381,90 +388,58 @@ func (s Spec) Build() (Fabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	var plan *failure.Plan
+	fc := fabric.Config{
+		Topology:             top,
+		HostRate:             s.HostRate,
+		Workers:              s.Workers,
+		Seed:                 s.Seed,
+		PriorityQueues:       s.PriorityQueues,
+		CheckInvariants:      s.CheckInvariants,
+		OnDeliver:            s.OnDeliver,
+		TrackReceiverBuffers: s.TrackReceiverBuffers,
+		DisableEventSkip:     s.DisableEventSkip,
+	}
 	if s.Failures != nil {
-		plan, err = s.Failures.compile(s)
+		fc.Failures, err = s.Failures.compile(s)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if s.plane() == HybridPlane {
+	var p plane
+	roundsPerEpoch := 1
+	switch s.ControlPlane {
+	case HybridPlane:
 		if s.Scheduler != Matching {
 			return nil, fmt.Errorf("negotiator: the hybrid engine uses NegotiaToR Matching; scheduler variants apply to the NegotiaToR fabric")
 		}
 		if s.SelectiveRelay {
 			return nil, fmt.Errorf("negotiator: selective relay is a NegotiaToR thin-clos extension")
 		}
-		e, err := hybrid.New(hybrid.Config{
-			Topology:             top,
+		p, err = hybrid.New(hybrid.Config{Config: fc, Timing: s.timing(), DisableIncremental: scratchRequests})
+	case ObliviousPlane:
+		var e *oblivious.Engine
+		e, err = oblivious.New(oblivious.Config{Config: fc, Timing: s.obliviousTiming(), OnTransit: s.OnTransit})
+		if err == nil {
+			p, roundsPerEpoch = e, e.SlotsPerCycle()
+		}
+	default:
+		cfg := negotiator.Config{
+			Config:               fc,
 			Timing:               s.timing(),
-			HostRate:             s.HostRate,
-			PriorityQueues:       s.PriorityQueues,
-			Seed:                 s.Seed,
-			Failures:             plan,
-			CheckInvariants:      s.CheckInvariants,
-			OnDeliver:            s.OnDeliver,
-			TrackReceiverBuffers: s.TrackReceiverBuffers,
-			Workers:              s.Workers,
-			DisableEventSkip:     s.DisableEventSkip,
-			DisableIncremental:   s.DisableIncremental,
-		})
-		if err != nil {
-			return nil, err
+			Piggyback:            s.Piggyback,
+			RequestThresholdPkts: s.RequestThresholdPkts,
+			NewMatcher:           s.matcherFactory(),
+			DisableIncremental:   scratchRequests,
 		}
-		return &hybridFabric{e: e, spec: s}, nil
-	}
-	if s.plane() == ObliviousPlane {
-		ot := oblivious.DefaultTiming()
-		ot.LinkRate = s.LinkRate
-		ot.PropDelay = s.PropDelay
-		if s.ReconfigDelay > 0 {
-			ot.Slot = ot.Slot - ot.Guardband + s.ReconfigDelay
-			ot.Guardband = s.ReconfigDelay
+		if s.SelectiveRelay {
+			cfg.Relay = &negotiator.RelayConfig{}
 		}
-		e, err := oblivious.New(oblivious.Config{
-			Topology:         top,
-			Timing:           ot,
-			HostRate:         s.HostRate,
-			PriorityQueues:   s.PriorityQueues,
-			Seed:             s.Seed,
-			Failures:         plan,
-			CheckInvariants:  s.CheckInvariants,
-			OnDeliver:        s.OnDeliver,
-			OnTransit:        s.OnTransit,
-			Workers:          s.Workers,
-			DisableEventSkip: s.DisableEventSkip,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &obliviousFabric{e: e, spec: s}, nil
+		p, err = negotiator.New(cfg)
 	}
-	cfg := negotiator.Config{
-		Topology:             top,
-		Timing:               s.timing(),
-		HostRate:             s.HostRate,
-		Piggyback:            s.Piggyback,
-		RequestThresholdPkts: s.RequestThresholdPkts,
-		PriorityQueues:       s.PriorityQueues,
-		NewMatcher:           s.matcherFactory(),
-		Failures:             plan,
-		Seed:                 s.Seed,
-		CheckInvariants:      s.CheckInvariants,
-		OnDeliver:            s.OnDeliver,
-		TrackReceiverBuffers: s.TrackReceiverBuffers,
-		Workers:              s.Workers,
-		DisableEventSkip:     s.DisableEventSkip,
-		DisableIncremental:   s.DisableIncremental,
-	}
-	if s.SelectiveRelay {
-		cfg.Relay = &negotiator.RelayConfig{}
-	}
-	e, err := negotiator.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &negotiatorFabric{e: e, spec: s}, nil
+	return &facade{core: p.Core(), plane: p, roundsPerEpoch: roundsPerEpoch, spec: s}, nil
 }
 
 // FailureScenario selects the shape of a failure plan. The vocabulary
@@ -649,19 +624,22 @@ func (e EventStat) FinishTime() Duration {
 	return e.End.Sub(e.Start)
 }
 
-// Fabric is a runnable network simulation: NegotiaToR or the
-// traffic-oblivious baseline.
+// Fabric is a runnable network simulation over any of the three control
+// planes: NegotiaToR, the traffic-oblivious baseline, or the hybrid.
 type Fabric interface {
 	// SetWorkload attaches the arrival stream; call before Run.
 	SetWorkload(Workload)
 	// Run advances the simulation to at least the given simulated time.
 	Run(Duration)
 	// RunEpochs advances exactly k scheduling rounds — epochs for
-	// NegotiaToR, full round-robin cycles for the baseline — so callers
-	// can step whole rounds without duration arithmetic.
+	// NegotiaToR and the hybrid, whole round-robin cycles for the
+	// baseline — so callers can step whole rounds without duration
+	// arithmetic.
 	RunEpochs(k int)
-	// Drain runs until all injected traffic is delivered (or the step
-	// budget is exhausted) and reports whether it drained.
+	// Drain runs until all injected traffic is delivered (or the budget is
+	// exhausted) and reports whether it drained. The budget counts rounds:
+	// epochs, or single timeslots on the oblivious baseline (not whole
+	// cycles, unlike RunEpochs).
 	Drain(budget int) bool
 	// Summary reports headline metrics.
 	Summary() Summary
@@ -669,8 +647,9 @@ type Fabric interface {
 	MiceCDF(points int) []metrics.CDFPoint
 	// Events returns tagged application events (incasts) by tag.
 	Events() map[int]EventStat
-	// MatchRatioSeries returns the per-epoch accept/grant ratios
-	// (NegotiaToR only; nil for the baseline).
+	// MatchRatioSeries returns the per-epoch accept/grant ratios of the
+	// negotiating planes (NegotiaToR, and the hybrid's elephant matching;
+	// nil for the oblivious baseline).
 	MatchRatioSeries() []float64
 	// Spec returns the spec the fabric was built from.
 	Spec() Spec
@@ -691,145 +670,75 @@ type Fabric interface {
 // Workload is an arrival stream (re-exported).
 type Workload = workload.Generator
 
-type negotiatorFabric struct {
-	e    *negotiator.Engine
-	spec Spec
+// matchRatioPlane is optionally implemented by control planes that
+// negotiate matches: their per-epoch accept/grant ratios (Appendix A.1).
+type matchRatioPlane interface {
+	MatchRatio() *metrics.Ratio
 }
 
-func (f *negotiatorFabric) SetWorkload(w Workload)     { f.e.SetWorkload(w) }
-func (f *negotiatorFabric) Run(d Duration)             { f.e.Run(d) }
-func (f *negotiatorFabric) RunEpochs(k int)            { f.e.RunEpochs(k) }
-func (f *negotiatorFabric) Drain(budget int) bool      { return f.e.Drain(budget) }
-func (f *negotiatorFabric) Spec() Spec                 { return f.spec }
-func (f *negotiatorFabric) Snapshot(w io.Writer) error { return f.e.Snapshot(w) }
-func (f *negotiatorFabric) Restore(r io.Reader) error  { return f.e.Restore(r) }
+// facade is the one Fabric implementation: the shared fabric core driven
+// by the control plane Build bound to it. Every readout comes straight
+// from the core; a plane adds only what it optionally implements
+// (matchRatioPlane).
+type facade struct {
+	core  *fabric.Core
+	plane fabric.ControlPlane
+	// roundsPerEpoch is how many core rounds make one reported epoch: 1,
+	// or the slots per round-robin cycle on the oblivious baseline.
+	roundsPerEpoch int
+	spec           Spec
+}
 
-func (f *negotiatorFabric) Summary() Summary {
-	r := f.e.Results()
-	return Summary{
-		Flows:              r.FCT.Count(),
-		MiceFlows:          r.FCT.MiceCount(),
-		Mice99p:            r.FCT.MiceP(99),
-		MiceMean:           r.FCT.MiceMean(),
-		All99p:             r.FCT.P(99),
-		GoodputNormalized:  r.Goodput.Normalized(r.Duration, f.spec.HostRate),
-		MatchRatio:         r.MatchRatio.Mean(),
-		EpochLen:           r.EpochLen,
-		Epochs:             r.Epochs,
-		Injected:           r.Injected,
-		Delivered:          r.Delivered,
-		LostBytes:          r.LostBytes,
-		Duration:           r.Duration,
-		PeakReceiverBuffer: r.PeakReceiverBuffer,
+func (f *facade) SetWorkload(w Workload)     { f.core.SetWorkload(w) }
+func (f *facade) Run(d Duration)             { f.core.Run(d) }
+func (f *facade) RunEpochs(k int)            { f.core.RunRounds(k * f.roundsPerEpoch) }
+func (f *facade) Drain(budget int) bool      { return f.core.Drain(budget) }
+func (f *facade) Spec() Spec                 { return f.spec }
+func (f *facade) Snapshot(w io.Writer) error { return f.core.Snapshot(w) }
+func (f *facade) Restore(r io.Reader) error  { return f.core.Restore(r) }
+
+// Summary merges fresh FCT and goodput copies from the per-shard
+// accumulators (never cached: the copies are the readout's own).
+func (f *facade) Summary() Summary {
+	c := f.core
+	fct := c.MergedFCT()
+	dur := Duration(c.Now())
+	sum := Summary{
+		Flows:              fct.Count(),
+		MiceFlows:          fct.MiceCount(),
+		Mice99p:            fct.MiceP(99),
+		MiceMean:           fct.MiceMean(),
+		All99p:             fct.P(99),
+		GoodputNormalized:  c.MergedGoodput().Normalized(dur, f.spec.HostRate),
+		EpochLen:           c.RoundLen() * Duration(f.roundsPerEpoch),
+		Epochs:             c.Rounds() / int64(f.roundsPerEpoch),
+		Injected:           c.Ledger.Injected,
+		Delivered:          c.Ledger.Delivered,
+		LostBytes:          c.Lost,
+		Duration:           dur,
+		PeakReceiverBuffer: c.PeakReceiverBuffer(),
 	}
+	if m, ok := f.plane.(matchRatioPlane); ok {
+		sum.MatchRatio = m.MatchRatio().Mean()
+	}
+	return sum
 }
 
-func (f *negotiatorFabric) MiceCDF(points int) []metrics.CDFPoint {
-	return f.e.Results().FCT.MiceCDF(points)
+func (f *facade) MiceCDF(points int) []metrics.CDFPoint {
+	return f.core.MergedFCT().MiceCDF(points)
 }
 
-func (f *negotiatorFabric) Events() map[int]EventStat {
-	out := make(map[int]EventStat)
-	for tag, ts := range f.e.Results().Tags {
+func (f *facade) Events() map[int]EventStat {
+	out := make(map[int]EventStat, len(f.core.Tags))
+	for tag, ts := range f.core.Tags {
 		out[tag] = EventStat{Start: ts.Start, End: ts.End, Flows: ts.Flows, Done: ts.Done}
 	}
 	return out
 }
 
-func (f *negotiatorFabric) MatchRatioSeries() []float64 {
-	return f.e.Results().MatchRatio.Series()
-}
-
-type obliviousFabric struct {
-	e    *oblivious.Engine
-	spec Spec
-}
-
-func (f *obliviousFabric) SetWorkload(w Workload)     { f.e.SetWorkload(w) }
-func (f *obliviousFabric) Run(d Duration)             { f.e.Run(d) }
-func (f *obliviousFabric) RunEpochs(k int)            { f.e.RunCycles(k) }
-func (f *obliviousFabric) Drain(budget int) bool      { return f.e.Drain(budget) }
-func (f *obliviousFabric) Spec() Spec                 { return f.spec }
-func (f *obliviousFabric) Snapshot(w io.Writer) error { return f.e.Snapshot(w) }
-func (f *obliviousFabric) Restore(r io.Reader) error  { return f.e.Restore(r) }
-
-func (f *obliviousFabric) Summary() Summary {
-	r := f.e.Results()
-	return Summary{
-		Flows:             r.FCT.Count(),
-		MiceFlows:         r.FCT.MiceCount(),
-		Mice99p:           r.FCT.MiceP(99),
-		MiceMean:          r.FCT.MiceMean(),
-		All99p:            r.FCT.P(99),
-		GoodputNormalized: r.Goodput.Normalized(r.Duration, f.spec.HostRate),
-		EpochLen:          f.e.CycleLen(),
-		Epochs:            r.Slots / int64(f.e.SlotsPerCycle()),
-		Injected:          r.Injected,
-		Delivered:         r.Delivered,
-		LostBytes:         r.LostBytes,
-		Duration:          r.Duration,
+func (f *facade) MatchRatioSeries() []float64 {
+	if m, ok := f.plane.(matchRatioPlane); ok {
+		return m.MatchRatio().Series()
 	}
-}
-
-func (f *obliviousFabric) MiceCDF(points int) []metrics.CDFPoint {
-	return f.e.Results().FCT.MiceCDF(points)
-}
-
-func (f *obliviousFabric) Events() map[int]EventStat {
-	out := make(map[int]EventStat)
-	for tag, ts := range f.e.Results().Tags {
-		out[tag] = EventStat{Start: ts.Start, End: ts.End, Flows: ts.Flows, Done: ts.Done}
-	}
-	return out
-}
-
-func (f *obliviousFabric) MatchRatioSeries() []float64 { return nil }
-
-type hybridFabric struct {
-	e    *hybrid.Engine
-	spec Spec
-}
-
-func (f *hybridFabric) SetWorkload(w Workload)     { f.e.SetWorkload(w) }
-func (f *hybridFabric) Run(d Duration)             { f.e.Run(d) }
-func (f *hybridFabric) RunEpochs(k int)            { f.e.RunEpochs(k) }
-func (f *hybridFabric) Drain(budget int) bool      { return f.e.Drain(budget) }
-func (f *hybridFabric) Spec() Spec                 { return f.spec }
-func (f *hybridFabric) Snapshot(w io.Writer) error { return f.e.Snapshot(w) }
-func (f *hybridFabric) Restore(r io.Reader) error  { return f.e.Restore(r) }
-
-func (f *hybridFabric) Summary() Summary {
-	r := f.e.Results()
-	return Summary{
-		Flows:              r.FCT.Count(),
-		MiceFlows:          r.FCT.MiceCount(),
-		Mice99p:            r.FCT.MiceP(99),
-		MiceMean:           r.FCT.MiceMean(),
-		All99p:             r.FCT.P(99),
-		GoodputNormalized:  r.Goodput.Normalized(r.Duration, f.spec.HostRate),
-		MatchRatio:         r.MatchRatio.Mean(),
-		EpochLen:           r.EpochLen,
-		Epochs:             r.Epochs,
-		Injected:           r.Injected,
-		Delivered:          r.Delivered,
-		LostBytes:          r.LostBytes,
-		Duration:           r.Duration,
-		PeakReceiverBuffer: r.PeakReceiverBuffer,
-	}
-}
-
-func (f *hybridFabric) MiceCDF(points int) []metrics.CDFPoint {
-	return f.e.Results().FCT.MiceCDF(points)
-}
-
-func (f *hybridFabric) Events() map[int]EventStat {
-	out := make(map[int]EventStat)
-	for tag, ts := range f.e.Results().Tags {
-		out[tag] = EventStat{Start: ts.Start, End: ts.End, Flows: ts.Flows, Done: ts.Done}
-	}
-	return out
-}
-
-func (f *hybridFabric) MatchRatioSeries() []float64 {
-	return f.e.Results().MatchRatio.Series()
+	return nil
 }

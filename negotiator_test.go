@@ -27,7 +27,9 @@ func TestBuildAllTopologySystemCombos(t *testing.T) {
 		for _, obl := range []bool{false, true} {
 			spec := negotiator.SmallSpec()
 			spec.Topology = top
-			spec.Oblivious = obl
+			if obl {
+				spec.ControlPlane = negotiator.ObliviousPlane
+			}
 			fab, err := spec.Build()
 			if err != nil {
 				t.Fatalf("%v oblivious=%v: %v", top, obl, err)
@@ -54,7 +56,7 @@ func TestBuildValidation(t *testing.T) {
 		t.Error("selective relay on parallel accepted")
 	}
 	spec = negotiator.SmallSpec()
-	spec.Oblivious = true
+	spec.ControlPlane = negotiator.ObliviousPlane
 	spec.Failures = &negotiator.FailurePlan{Fraction: 0.1}
 	if _, err := spec.Build(); err != nil {
 		t.Errorf("failure plan on oblivious baseline rejected: %v", err)
@@ -129,7 +131,9 @@ func TestHeadlineResultShape(t *testing.T) {
 	runSys := func(obl bool) negotiator.Summary {
 		spec := negotiator.SmallSpec()
 		spec.Topology = negotiator.ThinClos
-		spec.Oblivious = obl
+		if obl {
+			spec.ControlPlane = negotiator.ObliviousPlane
+		}
 		fab, err := spec.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -306,7 +310,7 @@ func TestSpecTimingKnobs(t *testing.T) {
 
 func TestObliviousSummaryCycle(t *testing.T) {
 	spec := negotiator.SmallSpec()
-	spec.Oblivious = true
+	spec.ControlPlane = negotiator.ObliviousPlane
 	fab, _ := spec.Build()
 	// 16 ToRs / 4 ports thin-... parallel: ceil(15/4)=4 slots x 60ns.
 	if got := fab.Summary().EpochLen; got != 240 {

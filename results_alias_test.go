@@ -9,19 +9,14 @@ import (
 	"negotiator/internal/metrics"
 )
 
-// mergedFCT returns the FCT accumulator of the fabric's engine-level
-// Results: the merged copy Summary and MiceCDF read from.
+// mergedFCT returns a merged FCT copy of the kind Summary and MiceCDF
+// read from.
 func mergedFCT(t *testing.T, f Fabric) *metrics.FCTStats {
-	switch f := f.(type) {
-	case *negotiatorFabric:
-		return f.e.Results().FCT
-	case *obliviousFabric:
-		return f.e.Results().FCT
-	case *hybridFabric:
-		return f.e.Results().FCT
+	fac, ok := f.(*facade)
+	if !ok {
+		t.Fatalf("unknown fabric %T", f)
 	}
-	t.Fatalf("unknown fabric %T", f)
-	return nil
+	return fac.core.MergedFCT()
 }
 
 // fctReadout is every statistic a readout takes from an accumulator.

@@ -27,7 +27,13 @@ var allSchedulers = []negotiator.Scheduler{
 func shardRun(t *testing.T, spec negotiator.Spec, workers, epochs int, load float64) string {
 	t.Helper()
 	spec.Workers = workers
-	fab, err := spec.Build()
+	return builtRun(t, spec, negotiator.Spec.Build, epochs, load)
+}
+
+// builtRun is shardRun over a fabric made by the given build function.
+func builtRun(t *testing.T, spec negotiator.Spec, build func(negotiator.Spec) (negotiator.Fabric, error), epochs int, load float64) string {
+	t.Helper()
+	fab, err := build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +62,7 @@ func TestShardDeterminism(t *testing.T) {
 		}
 	}
 	obl := negotiator.SmallSpec()
-	obl.Oblivious = true
+	obl.ControlPlane = negotiator.ObliviousPlane
 	obl.Topology = negotiator.ThinClos
 	variants = append(variants, variant{"oblivious/thin-clos", obl})
 	for _, top := range []negotiator.Topology{negotiator.ParallelNetwork, negotiator.ThinClos} {
@@ -105,7 +111,7 @@ func TestShardDeterminismLargeFabric(t *testing.T) {
 	}
 	t.Run("oblivious", func(t *testing.T) {
 		spec := base
-		spec.Oblivious = true
+		spec.ControlPlane = negotiator.ObliviousPlane
 		spec.Topology = negotiator.ThinClos
 		want := shardRun(t, spec, 1, 12, 0.6)
 		for _, workers := range []int{2, 4, 8} {
@@ -117,11 +123,13 @@ func TestShardDeterminismLargeFabric(t *testing.T) {
 }
 
 // TestSummaryEpochsAndRunEpochs: the facade surfaces the scheduling-round
-// count, and RunEpochs steps exactly whole rounds on both fabrics.
+// count, RunEpochs steps exactly whole rounds on every control plane
+// (idle, so skipped rounds count too), and the negotiating planes report
+// one match ratio per executed epoch.
 func TestSummaryEpochsAndRunEpochs(t *testing.T) {
-	for _, obl := range []bool{false, true} {
+	for _, plane := range negotiator.ControlPlanes() {
 		spec := negotiator.SmallSpec()
-		spec.Oblivious = obl
+		spec.ControlPlane = plane
 		fab, err := spec.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -129,10 +137,26 @@ func TestSummaryEpochsAndRunEpochs(t *testing.T) {
 		fab.RunEpochs(37)
 		sum := fab.Summary()
 		if sum.Epochs != 37 {
-			t.Errorf("oblivious=%v: Epochs = %d after RunEpochs(37)", obl, sum.Epochs)
+			t.Errorf("%v: Epochs = %d after RunEpochs(37)", plane, sum.Epochs)
 		}
 		if want := 37 * int64(sum.EpochLen); int64(sum.Duration) != want {
-			t.Errorf("oblivious=%v: duration %v, want %d epoch lengths", obl, sum.Duration, want)
+			t.Errorf("%v: duration %v, want %d epoch lengths", plane, sum.Duration, want)
+		}
+
+		// A backlog that outlasts the run keeps every epoch executing.
+		busy, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		busy.SetWorkload(negotiator.SinglePairWorkload(0, 9, 1<<30, 0))
+		busy.RunEpochs(37)
+		series := busy.MatchRatioSeries()
+		if plane == negotiator.ObliviousPlane {
+			if series != nil {
+				t.Errorf("%v: match-ratio series %v, want nil", plane, series)
+			}
+		} else if len(series) != 37 {
+			t.Errorf("%v: %d match ratios after RunEpochs(37), want 37", plane, len(series))
 		}
 	}
 }
