@@ -56,7 +56,7 @@ func permRun(t *testing.T, spec negotiator.Spec, workers, k int, size int64, gro
 	}
 	fab.SetWorkload(w)
 	fab.RunEpochs(150)
-	return fmt.Sprintf("%+v | cdf=%v", fab.Summary(), fab.MiceCDF(24))
+	return fmt.Sprintf("%+v | cdf=%v | fcts=%v", fab.Summary(), fab.MiceCDF(24), negotiator.SortedFCTs(fab))
 }
 
 // TestGroupEquivalence is the flow-group acceptance contract, in two
@@ -69,10 +69,12 @@ func permRun(t *testing.T, spec negotiator.Spec, workers, k int, size int64, gro
 // grouped-fct: on a coalescible workload, one k-member group record must
 // produce the exact Summary and FCT sample stream of k separate identical
 // flows, at 1 worker and at 16. Delivery here is FIFO over the group's
-// bytes (single negotiator-plane VOQ; with priority queues on, the member
-// size stays within the first PIAS bound so all bytes share one priority
-// FIFO), which is the regime where per-member boundary-crossing emission
-// is exact — see the README's "Flow groups" subsection for the conditions.
+// bytes (one VOQ per pair; with priority queues on, the member size stays
+// within the first PIAS bound so all bytes share one priority FIFO), which
+// is the regime where per-member boundary-crossing emission is exact — see
+// the README's "Flow groups" subsection for the conditions. The hybrid
+// cases cover both of its emitters: mice members ride the fixed-arrival
+// round-robin emitter, elephant members the slot-timed scheduled one.
 func TestGroupEquivalence(t *testing.T) {
 	t.Run("golden-k1", func(t *testing.T) {
 		raw, err := os.ReadFile(fingerprintGoldenPath)
@@ -122,18 +124,26 @@ func TestGroupEquivalence(t *testing.T) {
 	t.Run("grouped-fct", func(t *testing.T) {
 		const k = 5
 		for _, tc := range []struct {
-			name string
-			pq   bool
-			size int64
+			name  string
+			plane negotiator.ControlPlaneKind
+			pq    bool
+			size  int64
 		}{
 			// PIAS on: members within the first priority bound share one
 			// FIFO, so delivery order stays member-sequential.
-			{"pias-small-members", true, 1000},
+			{"pias-small-members", negotiator.NegotiaToRPlane, true, 1000},
 			// PIAS off: any member size is FIFO end to end.
-			{"fifo-large-members", false, 4920},
+			{"fifo-large-members", negotiator.NegotiaToRPlane, false, 4920},
+			// Hybrid mice members (below the 10 KB split) ride the
+			// round-robin lanes.
+			{"hybrid-pias-mice-members", negotiator.HybridPlane, true, 1000},
+			{"hybrid-fifo-mice-members", negotiator.HybridPlane, false, 4920},
+			// Hybrid elephant members ride the negotiated scheduled phase.
+			{"hybrid-fifo-elephant-members", negotiator.HybridPlane, false, 20000},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
 				spec := negotiator.SmallSpec()
+				spec.ControlPlane = tc.plane
 				spec.PriorityQueues = tc.pq
 				for _, workers := range []int{1, 16} {
 					grouped := permRun(t, spec, workers, k, tc.size, true)

@@ -113,6 +113,73 @@ func (sh *Shard) RecordLossClass(nd *Node, f *flows.Flow, dst int, off, n int64,
 	nd.Losses = append(nd.Losses, Loss{F: f, Dst: dst, Off: off, N: n, At: at, Class: class, Via: int32(via)})
 }
 
+// Tx is a shard's transmission cursor: one queue drain from Node toward
+// Dst, read by the two prebuilt emitters a plane hands the node's
+// Take*/Drain* choke points. Each advances the flow's sent cursor, then
+// books the run as delivered at Dst or, with the link down but undetected
+// (Lost), as lost and requeued on detection by Class (Via: the lane for
+// RequeueLane).
+type Tx struct {
+	Node  *Node
+	Dst   int
+	Lost  bool
+	Class RequeueClass
+	Via   int
+	// Slotted runs land at the end of the slot holding their last byte
+	// (byte position Pos, slots counted from Start) plus propagation. A
+	// flow group's run splits at member boundaries, so each member
+	// completes in its own slot exactly as a separate flow would.
+	Slotted func(*flows.Flow, int64)
+	Pos     int64
+	Start   sim.Time
+	// Fixed runs land at At.
+	Fixed func(*flows.Flow, int64)
+	At    sim.Time
+
+	sh            *Shard
+	payload       int64
+	slotLen, prop sim.Duration
+}
+
+// NewTx builds the shard's transmission cursor for slotted runs of
+// payload bytes per slotLen and propagation delay prop. Losses requeue
+// direct until the plane sets Class and Via.
+func (sh *Shard) NewTx(payload int64, slotLen, prop sim.Duration) *Tx {
+	tx := &Tx{Via: -1, sh: sh, payload: payload, slotLen: slotLen, prop: prop}
+	tx.Slotted = func(f *flows.Flow, n int64) {
+		for n > 0 {
+			take := n
+			if f.Count > 1 {
+				if rem := f.Size - f.Sent()%f.Size; rem < take {
+					take = rem
+				}
+			}
+			tx.emit(f, take, tx.Advance(take))
+			n -= take
+		}
+	}
+	tx.Fixed = func(f *flows.Flow, n int64) { tx.emit(f, n, tx.At) }
+	return tx
+}
+
+// Advance moves the slot position past n more bytes and returns the
+// arrival time of the run ending there.
+func (tx *Tx) Advance(n int64) sim.Time {
+	tx.Pos += n
+	endSlot := (tx.Pos + tx.payload - 1) / tx.payload
+	return tx.Start.Add(sim.Duration(endSlot) * tx.slotLen).Add(tx.prop)
+}
+
+func (tx *Tx) emit(f *flows.Flow, n int64, at sim.Time) {
+	off := f.Sent()
+	f.NoteSent(n)
+	if tx.Lost {
+		tx.sh.RecordLossClass(tx.Node, f, tx.Dst, off, n, at, tx.Class, tx.Via)
+		return
+	}
+	tx.sh.Deliver(f, tx.Dst, n, at)
+}
+
 // Deliver applies one delivery's accounting from serial context (a
 // control plane's post-barrier merge), routing it to the shard owning the
 // destination ToR — order-independent, since per-shard accumulators merge

@@ -117,6 +117,13 @@ func (st *State) PathOK(src, dst, port int) bool {
 	return !st.Egress[src][port] && !st.Ingress[dst][port]
 }
 
+// PathUp is PathOK for the engines' hot paths: a nil or all-healthy
+// snapshot (no plan, or no link down) reports every path up without
+// touching the bitmaps.
+func (st *State) PathUp(src, dst, port int) bool {
+	return st == nil || st.Count == 0 || st.PathOK(src, dst, port)
+}
+
 // Random builds a plan failing fraction of all 2·n·s directed links
 // simultaneously at failAt and recovering them at recoverAt, the scenario
 // of the paper's Figure 10.

@@ -1,6 +1,6 @@
 // Package hybrid is the third control plane over the shared fabric core
-// (internal/fabric), and the existence proof that the core extraction
-// pays for itself: a complete engine in one file.
+// (internal/fabric), reusing the NegotiaToR plane's REQUEST step and the
+// core's drain emitters.
 //
 // It pushes the paper's §3.4.1 mice-bypass idea to its limit. Mice flows
 // (< 10 KB) never touch the scheduler: they ride the traffic-oblivious
@@ -52,14 +52,9 @@ type Config struct {
 	// Timing is the epoch structure; zero value means
 	// negotiator.DefaultTiming.
 	Timing negotiator.Timing
-	// MiceBytes is the mice/elephant split threshold; zero means the
-	// paper's 10 KB mice bound.
-	MiceBytes int64
-	// DisableIncremental forces a from-scratch elephant REQUEST sweep
-	// every epoch instead of replaying the demand-versioned request cache
-	// of sources whose elephant VOQs did not change. Byte-identical either
-	// way; the from-scratch sweep is the reference the cache-equivalence
-	// tests compare against.
+	// DisableIncremental sweeps every elephant REQUEST from scratch instead
+	// of replaying negotiator.RequestCache: byte-identical, the reference
+	// the cache-equivalence tests compare against.
 	DisableIncremental bool
 }
 
@@ -75,7 +70,6 @@ type Engine struct {
 	epochLn     sim.Duration
 	payload     int64 // scheduled-phase payload per slot
 	piggyBytes  int64 // predefined-phase payload per pair
-	miceBytes   int64
 
 	matcher    match.Matcher
 	matchRatio metrics.Ratio
@@ -84,13 +78,6 @@ type Engine struct {
 	shards     []*hyShard
 	epochStart sim.Time
 
-	// incremental: replay each source's cached elephant request emissions
-	// while its direct-demand version is unchanged (the engine's matcher
-	// is always the base binary-request policy, whose Requests is a pure
-	// function of the demand row).
-	incremental bool
-	caches      []reqCache
-
 	// Core-owned failure snapshots (stable pointers, advanced by the core
 	// before each Round; nil without a plan).
 	actual, known *failure.State
@@ -98,21 +85,6 @@ type Engine struct {
 	stepRequest  func(k int)
 	stepGrant    func(k int)
 	stepTransmit func(k int)
-}
-
-// reqCache holds one source's elephant REQUEST emissions from its last
-// fresh sweep, stamped with the node's direct-demand version at capture
-// time (mice pushes do not touch the version — the matcher's view reads
-// elephant VOQs only). While the version is unchanged the sweep would
-// re-emit exactly this list, so the epoch replays it instead. Capture is
-// lazy, as in the NegotiaToR engine: a sweep tees into reqs only after
-// the version has held stable across an epoch, so rows that drain every
-// epoch never pay the tee.
-type reqCache struct {
-	reqs  []match.Request
-	ver   int64
-	seen  bool
-	valid bool
 }
 
 // torCtl is one ToR's control state: single-generation mailboxes (the
@@ -148,36 +120,24 @@ func (v *torView) NextDemand(after int) int {
 }
 
 // hyShard is one contiguous ToR range's execution context: the matcher
-// handle, cross-shard message outboxes (bucketed by receiving shard,
-// merged in shard order — the ToR-ascending order a sequential epoch
-// produces) and the prebuilt transmission emitters.
+// handle and its REQUEST step, cross-shard message outboxes (bucketed by
+// receiving shard, merged in shard order — the ToR-ascending order a
+// sequential epoch produces) and the transmission cursor.
 type hyShard struct {
 	e               *Engine
 	k               int
 	lo, hi          int
 	fs              *fabric.Shard
 	matcher         match.Matcher
+	req             *negotiator.Requester
 	accepts, grants int64
 	reqOut          [][]match.Request
 	grantOut        [][]match.Grant
 
-	txDst     int
-	txPos     int64
-	txAt      sim.Time
-	txNode    *fabric.Node
-	txLost    bool // current connection's link down but undetected
-	schedEmit func(*flows.Flow, int64)
-	miceEmit  func(*flows.Flow, int64)
+	tx        *fabric.Tx
 	grantEmit func(match.Grant)
 	reqEmit   func(match.Request)
-
-	// Incremental request-cache plumbing (see reqCache): the tee captures
-	// a fresh sweep's emissions into the source's cache while forwarding
-	// them; the verify tee feeds the replay-equals-fresh invariant.
-	curCache  *reqCache
-	teeEmit   func(match.Request)
-	verifyBuf []match.Request
-	verifyTee func(match.Request)
+	reqBulk   func(int32, []match.Request) // replayed rows: reqEmit never filters
 }
 
 // New builds the hybrid engine.
@@ -187,9 +147,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Timing == (negotiator.Timing{}) {
 		cfg.Timing = negotiator.DefaultTiming()
-	}
-	if cfg.MiceBytes == 0 {
-		cfg.MiceBytes = metrics.MiceFlowBytes
 	}
 	if err := cfg.Timing.Validate(cfg.Topology); err != nil {
 		return nil, err
@@ -201,17 +158,12 @@ func New(cfg Config) (*Engine, error) {
 		n:           cfg.Topology.N(),
 		s:           cfg.Topology.Ports(),
 		predefSlots: cfg.Topology.PredefinedSlots(),
-		miceBytes:   cfg.MiceBytes,
 	}
 	e.epochLn = e.timing.EpochLen(e.predefSlots)
 	e.payload = e.timing.DataPayloadBytes()
 	e.piggyBytes = e.timing.PiggybackBytes()
 	rng := sim.NewRNG(cfg.Seed)
 	e.matcher = match.NewNegotiator(e.top, rng.Split(1))
-	e.incremental = !cfg.DisableIncremental
-	if e.incremental {
-		e.caches = make([]reqCache, e.n)
-	}
 	fc := cfg.Config
 	if cfg.OnDeliver != nil || cfg.TrackReceiverBuffers {
 		fc.Workers = 1 // globally ordered delivery observation
@@ -223,6 +175,13 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.fab = fab
 	fab.Bind(e, e.admit)
+	// Elephant requests replay from the cache while a source's elephant
+	// VOQs stand still (mice pushes leave the demand version alone; the
+	// base matcher's Requests is pure).
+	var cache *negotiator.RequestCache
+	if !cfg.DisableIncremental {
+		cache = negotiator.NewRequestCache(fab, cfg.CheckInvariants)
+	}
 	e.actual = fab.ActualFailures()
 	e.known = fab.KnownFailures()
 
@@ -242,8 +201,10 @@ func New(cfg Config) (*Engine, error) {
 	}
 	var handles []match.Matcher
 	if fab.Workers > 1 {
-		handles = e.matcher.(match.Sharded).Fork(fab.Workers)
+		handles = e.matcher.Fork(fab.Workers)
 	}
+	// Per-shard closures are prebuilt: the steady-state epoch performs no
+	// heap allocation.
 	e.shards = make([]*hyShard, fab.Workers)
 	for k := range e.shards {
 		fs := fab.Shards[k]
@@ -257,7 +218,18 @@ func New(cfg Config) (*Engine, error) {
 			sh.reqOut[r] = make([]match.Request, 0, (fs.Hi-fs.Lo)+1)
 			sh.grantOut[r] = make([]match.Grant, 0, (fs.Hi-fs.Lo)+1)
 		}
-		sh.initEmitters()
+		sh.reqEmit = func(r match.Request) {
+			d := e.fab.ShardOf[r.Dst]
+			sh.reqOut[d] = append(sh.reqOut[d], r)
+		}
+		sh.reqBulk = func(d int32, rs []match.Request) { sh.reqOut[d] = append(sh.reqOut[d], rs...) }
+		sh.grantEmit = func(g match.Grant) {
+			sh.grants++
+			r := e.fab.ShardOf[g.Src]
+			sh.grantOut[r] = append(sh.grantOut[r], g)
+		}
+		sh.req = negotiator.NewRequester(cache, sh.matcher, 0)
+		sh.tx = fs.NewTx(e.payload, e.timing.ScheduledSlot, e.timing.PropDelay)
 		e.shards[k] = sh
 	}
 	e.stepRequest = func(k int) { e.shards[k].requestStep() }
@@ -270,7 +242,7 @@ func New(cfg Config) (*Engine, error) {
 // elephants to the negotiated queues.
 func (e *Engine) admit(f *flows.Flow, at sim.Time) {
 	nd := e.fab.Nodes[f.Src]
-	if f.Size < e.miceBytes {
+	if f.Size < metrics.MiceFlowBytes {
 		nd.PushLane(f.Dst, f, at)
 		return
 	}
@@ -318,64 +290,6 @@ func (e *Engine) Round() {
 // arrive.
 func (e *Engine) IdleHorizon() sim.Time { return fabric.HorizonInfinite }
 
-// initEmitters prebuilds the per-shard closures so the steady-state epoch
-// performs no heap allocation.
-func (sh *hyShard) initEmitters() {
-	e := sh.e
-	sh.reqEmit = func(r match.Request) {
-		d := e.fab.ShardOf[r.Dst]
-		sh.reqOut[d] = append(sh.reqOut[d], r)
-	}
-	sh.teeEmit = func(r match.Request) {
-		sh.curCache.reqs = append(sh.curCache.reqs, r)
-		sh.reqEmit(r)
-	}
-	sh.verifyTee = func(r match.Request) { sh.verifyBuf = append(sh.verifyBuf, r) }
-	sh.grantEmit = func(g match.Grant) {
-		sh.grants++
-		r := e.fab.ShardOf[g.Src]
-		sh.grantOut[r] = append(sh.grantOut[r], g)
-	}
-	// Scheduled-phase (elephant) delivery: slot-timed like NegotiaToR.
-	// With the connection's link down but undetected, the bytes are
-	// destroyed in flight and booked for requeue into the elephant VOQ.
-	sh.schedEmit = func(f *flows.Flow, n int64) {
-		// Flow-group runs split at member boundaries so each member's last
-		// byte carries its own slot's arrival time (see the negotiator
-		// plane's schedEmit); single flows take one pass.
-		for n > 0 {
-			take := n
-			if f.Count > 1 {
-				if rem := f.Size - f.Sent()%f.Size; rem < take {
-					take = rem
-				}
-			}
-			off := f.Sent()
-			f.NoteSent(take)
-			sh.txPos += take
-			endSlot := (sh.txPos + e.payload - 1) / e.payload
-			at := sh.txAt.Add(sim.Duration(endSlot) * e.timing.ScheduledSlot).Add(e.timing.PropDelay)
-			if sh.txLost {
-				sh.fs.RecordLossClass(sh.txNode, f, sh.txDst, off, take, at, fabric.RequeueDirect, -1)
-			} else {
-				sh.fs.Deliver(f, sh.txDst, take, at)
-			}
-			n -= take
-		}
-	}
-	// Predefined-phase (mice) delivery: fixed slot arrival time; losses
-	// requeue into the mice queue (lane) they were taken from.
-	sh.miceEmit = func(f *flows.Flow, n int64) {
-		off := f.Sent()
-		f.NoteSent(n)
-		if sh.txLost {
-			sh.fs.RecordLossClass(sh.txNode, f, sh.txDst, off, n, sh.txAt, fabric.RequeueLane, sh.txDst)
-			return
-		}
-		sh.fs.Deliver(f, sh.txDst, n, sh.txAt)
-	}
-}
-
 // requestStep emits a request for every destination with elephant
 // backlog, bucketed by the destination's shard. The sweep walks the
 // shard's non-empty elephant-VOQ occupancy set — a source outside it has
@@ -383,60 +297,11 @@ func (sh *hyShard) initEmitters() {
 // so the phase is O(active sources), in the same ascending order as a
 // dense walk.
 func (sh *hyShard) requestStep() {
+	e := sh.e
 	occ := &sh.fs.ActiveDirect
 	for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
-		sh.sourceRequests(sh.lo + bit)
-	}
-}
-
-// sourceRequests emits one source's requests: a cached replay when the
-// source's direct-demand version is unchanged since the last fresh sweep,
-// a fresh sweep otherwise. A fresh sweep tees into the cache only once
-// the version has been observed stable across an epoch (see reqCache).
-// Under CheckInvariants every replay is shadowed by a fresh sweep and
-// compared element-wise.
-func (sh *hyShard) sourceRequests(i int) {
-	e := sh.e
-	if !e.incremental {
-		sh.matcher.Requests(i, &e.views[i], e.epochStart, 0, sh.reqEmit)
-		return
-	}
-	c := &e.caches[i]
-	ver := e.fab.Nodes[i].DemandVer()
-	if !c.seen || c.ver != ver {
-		c.ver, c.seen, c.valid = ver, true, false
-		sh.matcher.Requests(i, &e.views[i], e.epochStart, 0, sh.reqEmit)
-		return
-	}
-	if c.valid {
-		if e.cfg.CheckInvariants {
-			sh.verifyReplay(i, c)
-		}
-		for _, r := range c.reqs {
-			sh.reqEmit(r)
-		}
-		return
-	}
-	c.reqs = c.reqs[:0]
-	sh.curCache = c
-	sh.matcher.Requests(i, &e.views[i], e.epochStart, 0, sh.teeEmit)
-	sh.curCache = nil
-	c.valid = true
-}
-
-// verifyReplay asserts a source's cached request list matches a fresh
-// sweep (sound to run twice: the base matcher's Requests is pure).
-func (sh *hyShard) verifyReplay(i int, c *reqCache) {
-	e := sh.e
-	sh.verifyBuf = sh.verifyBuf[:0]
-	sh.matcher.Requests(i, &e.views[i], e.epochStart, 0, sh.verifyTee)
-	if len(sh.verifyBuf) != len(c.reqs) {
-		panic(fmt.Sprintf("hybrid: request cache diverged at ToR %d: %d cached vs %d fresh", i, len(c.reqs), len(sh.verifyBuf)))
-	}
-	for k := range sh.verifyBuf {
-		if sh.verifyBuf[k] != c.reqs[k] {
-			panic(fmt.Sprintf("hybrid: request cache diverged at ToR %d request %d: cached %+v fresh %+v", i, k, c.reqs[k], sh.verifyBuf[k]))
-		}
+		i := sh.lo + bit
+		sh.req.Source(i, &e.views[i], e.epochStart, sh.reqEmit, sh.reqBulk)
 	}
 }
 
@@ -500,14 +365,16 @@ func (sh *hyShard) transmitStep() {
 		}
 		nd := e.fab.Nodes[i]
 		// Mice ride the round-robin: one piggyback payload per connected
-		// pair, delivery fixed by the pair's predefined slot. The sweep
+		// pair, delivery fixed by the pair's predefined slot; losses
+		// requeue into the mice lane they were taken from. The sweep
 		// iterates the mice-queue occupancy index (ascending, exactly the
 		// non-empty lanes), so idle pairs cost nothing.
-		sh.txNode = nd
-		sh.txLost = false
+		tx := sh.tx
+		tx.Node = nd
 		// One O(1) aggregate read skips the occupancy-index word scan
 		// entirely for ToRs holding no mice at all.
 		if e.piggyBytes > 0 && nd.LanesBytes != 0 {
+			tx.Class = fabric.RequeueLane
 			for j := nd.LanesOcc.Next(-1); j >= 0; j = nd.LanesOcc.Next(j) {
 				if j == i {
 					continue
@@ -516,29 +383,30 @@ func (sh *hyShard) transmitStep() {
 				// A pair whose predefined link the fabric knows is down
 				// holds its mice for a later rotation (a different port);
 				// an undetected failure transmits into the void.
-				if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, port) {
+				if !e.known.PathUp(i, j, port) {
 					continue
 				}
-				sh.txDst = j
-				sh.txAt = e.epochStart.Add(sim.Duration(slot+1) * slotDur).Add(e.timing.PropDelay)
-				sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, port)
-				nd.TakeLane(j, e.piggyBytes, sh.miceEmit)
+				tx.Dst, tx.Via = j, j
+				tx.At = e.epochStart.Add(sim.Duration(slot+1) * slotDur).Add(e.timing.PropDelay)
+				tx.Lost = !e.actual.PathUp(i, j, port)
+				nd.TakeLane(j, e.piggyBytes, tx.Fixed)
 			}
 		}
-		// Elephants use the negotiated connections.
+		// Elephants use the negotiated connections; losses requeue into
+		// the elephant VOQ.
 		if t.hasMatches {
+			tx.Class, tx.Via = fabric.RequeueDirect, -1
 			for p, dj := range t.matches {
 				if dj < 0 {
 					continue
 				}
-				if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, int(dj), p) {
+				if !e.known.PathUp(i, int(dj), p) {
 					continue // match rides a link known down: forfeited
 				}
-				sh.txDst = int(dj)
-				sh.txPos = 0
-				sh.txAt = phaseStart
-				sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, int(dj), p)
-				nd.TakeDirect(int(dj), capacity, sh.schedEmit)
+				tx.Dst = int(dj)
+				tx.Pos, tx.Start = 0, phaseStart
+				tx.Lost = !e.actual.PathUp(i, int(dj), p)
+				nd.TakeDirect(int(dj), capacity, tx.Slotted)
 			}
 		}
 	}

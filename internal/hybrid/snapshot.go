@@ -15,14 +15,7 @@ import (
 // replay-equals-fresh invariant makes that invisible).
 func (e *Engine) PlaneState() ([]byte, error) {
 	var enc snap.Enc
-	num, den := e.matchRatio.Counts()
-	enc.U32(uint32(len(num)))
-	for _, v := range num {
-		enc.I64(v)
-	}
-	for _, v := range den {
-		enc.I64(v)
-	}
+	e.matchRatio.Encode(&enc)
 	var cnt uint32
 	for _, t := range e.tors {
 		if t.hasMatches {
@@ -49,19 +42,9 @@ func (e *Engine) PlaneState() ([]byte, error) {
 // PlaneState, applied to a freshly constructed engine.
 func (e *Engine) RestorePlaneState(data []byte) error {
 	d := snap.NewDec(data)
-	rn := int(d.U32())
-	num := make([]int64, rn)
-	den := make([]int64, rn)
-	for i := range num {
-		num[i] = d.I64()
-	}
-	for i := range den {
-		den[i] = d.I64()
-	}
-	if err := d.Err(); err != nil {
+	if err := e.matchRatio.Decode(d); err != nil {
 		return err
 	}
-	e.matchRatio.RestoreCounts(num, den)
 	cnt := int(d.U32())
 	for k := 0; k < cnt; k++ {
 		i := int(d.U32())

@@ -65,6 +65,38 @@ type Matcher interface {
 	// Feedback delivers a source's accept/reject decision back to the
 	// granting destination (stateful variant; no-op otherwise).
 	Feedback(g Grant, accepted bool)
+	// Fork returns p handles whose per-ToR pipeline steps can run
+	// concurrently over disjoint ToR shards. The handles SHARE the
+	// matcher's per-ToR state — the round-robin rings (grantRings[dst] is
+	// only touched by Grants(dst), acceptRings[src] only by Accepts(src),
+	// so ToR-sharding partitions them naturally), the stateful traffic
+	// matrix, and per-source rotation counters — while each handle owns
+	// PRIVATE scratch (request stamps, grantable lists, priority tables),
+	// the state that a sequential matcher reuses across per-ToR calls and
+	// that concurrent calls would otherwise race on.
+	//
+	// The contract mirrors the engine's sequential loop:
+	//
+	//   - handle k must only be invoked for ToRs of shard k (so shared
+	//     per-ToR state is touched by exactly one handle);
+	//   - all handles run the same pipeline stage between barriers, in the
+	//     stage order of the sequential engine (all Accepts, barrier, all
+	//     Grants, all Requests) — Stateful's Feedback writes the shared
+	//     matrix element (dst, src), which is unique per source and
+	//     therefore per shard, and the barrier publishes those writes
+	//     before Grants reads the rows;
+	//   - the original matcher remains the owner: Fork may be called again
+	//     (e.g. after a worker-count change) and the handles of the
+	//     previous fork must no longer be used.
+	//
+	// Batch matchers (Iterative, Classic) inherit Fork from their embedded
+	// Negotiator: the engine runs their Match serially on the original
+	// instance and drives only the per-ToR Requests step on the forked
+	// handles — which is exactly the promoted base Requests for the
+	// built-in batch matchers. A batch matcher that overrides Requests
+	// must shadow Fork as well, so its handles carry the overridden
+	// behaviour.
+	Fork(p int) []Matcher
 }
 
 // RequestTraits declares what an engine may assume about a matcher's

@@ -62,7 +62,7 @@ func (r *Ring) Pick(want func(pos int) bool) int {
 // PickMask returns the first position at or after the pointer (cyclically)
 // whose bit is set in mask, or -1 when mask is empty — Ring.Pick with an
 // is-set predicate, executed as a word-scan priority encoder (the
-// BitArbiter structure). Bits at or above Size must not be set. Like Pick
+// hardware arbiter's find-first-set over 64-bit words). Bits at or above Size must not be set. Like Pick
 // it does not move the pointer.
 func (r *Ring) PickMask(mask []uint64) int {
 	if r.n == 0 {

@@ -1,40 +1,5 @@
 package match
 
-// Sharded is implemented by matchers whose per-ToR pipeline steps can run
-// concurrently over disjoint ToR shards. Fork returns p handles that SHARE
-// the matcher's per-ToR state — the round-robin rings (grantRings[dst] is
-// only touched by Grants(dst), acceptRings[src] only by Accepts(src), so
-// ToR-sharding partitions them naturally), the stateful traffic matrix, and
-// per-source rotation counters — while each handle owns PRIVATE scratch
-// (request stamps, grantable lists, priority tables), the state that a
-// sequential matcher reuses across per-ToR calls and that concurrent calls
-// would otherwise race on.
-//
-// The contract mirrors the engine's sequential loop:
-//
-//   - handle k must only be invoked for ToRs of shard k (so shared per-ToR
-//     state is touched by exactly one handle);
-//   - all handles run the same pipeline stage between barriers, in the
-//     stage order of the sequential engine (all Accepts, barrier, all
-//     Grants, all Requests) — Stateful's Feedback writes the shared matrix
-//     element (dst, src), which is unique per source and therefore per
-//     shard, and the barrier publishes those writes before Grants reads
-//     the rows;
-//   - the original matcher remains the owner: Fork may be called again
-//     (e.g. after a worker-count change) and the handles of the previous
-//     fork must no longer be used.
-//
-// Batch matchers (Iterative, Classic) satisfy Sharded through their
-// embedded Negotiator: the engine runs their Match serially on the
-// original instance and drives only the per-ToR Requests step on the
-// forked handles — which is exactly the promoted base Requests for the
-// built-in batch matchers. A batch matcher that overrides Requests must
-// shadow Fork as well, so its handles carry the overridden behaviour.
-type Sharded interface {
-	Matcher
-	Fork(p int) []Matcher
-}
-
 // scratchClone returns a copy of m with fresh private scratch and shared
 // topology, rings and per-ToR state.
 func (m *Negotiator) scratchClone() *Negotiator {
@@ -59,7 +24,7 @@ func (m *Negotiator) scratchClone() *Negotiator {
 	return c
 }
 
-// Fork implements Sharded for the base matcher.
+// Fork implements Matcher for the base matcher.
 func (m *Negotiator) Fork(p int) []Matcher {
 	out := make([]Matcher, p)
 	for k := range out {
@@ -68,7 +33,7 @@ func (m *Negotiator) Fork(p int) []Matcher {
 	return out
 }
 
-// Fork implements Sharded: handles share the rings, each owns its priority
+// Fork implements Matcher: handles share the rings, each owns its priority
 // scratch.
 func (m *Informative) Fork(p int) []Matcher {
 	out := make([]Matcher, p)
@@ -82,7 +47,7 @@ func (m *Informative) Fork(p int) []Matcher {
 	return out
 }
 
-// Fork implements Sharded: handles share the traffic matrix and the
+// Fork implements Matcher: handles share the traffic matrix and the
 // reported-bytes table. Matrix rows are written by Grants(dst) — one shard
 // per dst — and by Feedback at element (g.Dst, g.Src), unique per source
 // and therefore per shard; reported[src] is only touched by Requests(src).
@@ -99,7 +64,7 @@ func (m *Stateful) Fork(p int) []Matcher {
 	return out
 }
 
-// Fork implements Sharded: handles share the per-source port rotation
+// Fork implements Matcher: handles share the per-source port rotation
 // (only Requests(src) touches rotate[src]), each owns its per-port best
 // scratch.
 func (m *ProjecToR) Fork(p int) []Matcher {

@@ -35,16 +35,16 @@ func (v *shardView) NextDemand(after int) int {
 	return after + 1
 }
 
-// shardedFactories builds each Sharded matcher over the topology. Both
+// shardedFactories builds each non-batch matcher over the topology. Both
 // instances of a pair must be built from identically seeded RNGs so ring
 // init matches.
-func shardedFactories(t topo.Topology) map[string]func(*sim.RNG) Sharded {
-	return map[string]func(*sim.RNG) Sharded{
-		"negotiator": func(r *sim.RNG) Sharded { return NewNegotiator(t, r) },
-		"data-size":  func(r *sim.RNG) Sharded { return NewDataSize(t, r) },
-		"hol-delay":  func(r *sim.RNG) Sharded { return NewHoLDelay(t, r) },
-		"stateful":   func(r *sim.RNG) Sharded { return NewStateful(t, r, 20000) },
-		"projector":  func(r *sim.RNG) Sharded { return NewProjecToR(t, r) },
+func shardedFactories(t topo.Topology) map[string]func(*sim.RNG) Matcher {
+	return map[string]func(*sim.RNG) Matcher{
+		"negotiator": func(r *sim.RNG) Matcher { return NewNegotiator(t, r) },
+		"data-size":  func(r *sim.RNG) Matcher { return NewDataSize(t, r) },
+		"hol-delay":  func(r *sim.RNG) Matcher { return NewHoLDelay(t, r) },
+		"stateful":   func(r *sim.RNG) Matcher { return NewStateful(t, r, 20000) },
+		"projector":  func(r *sim.RNG) Matcher { return NewProjecToR(t, r) },
 	}
 }
 
@@ -53,7 +53,7 @@ func shardedFactories(t topo.Topology) map[string]func(*sim.RNG) Sharded {
 // a transcript of every grant and match. Handles run their shard's ToRs
 // concurrently within each stage, with a barrier between stages, exactly
 // as the engine drives them.
-func drive(t *testing.T, m Sharded, n, s, p, rounds int) string {
+func drive(t *testing.T, m Matcher, n, s, p, rounds int) string {
 	t.Helper()
 	handles := []Matcher{m}
 	if p > 1 {
@@ -139,7 +139,7 @@ func drive(t *testing.T, m Sharded, n, s, p, rounds int) string {
 
 // TestForkMatchesSequential: driving a forked matcher over shards must
 // reproduce the sequential matcher's grants and matches exactly, for every
-// Sharded implementation, shard count, and topology.
+// forking implementation, shard count, and topology.
 func TestForkMatchesSequential(t *testing.T) {
 	const n, s = 16, 4
 	for _, mk := range []struct {

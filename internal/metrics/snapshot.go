@@ -6,7 +6,10 @@
 // samples into a single shard without changing any queried result.
 package metrics
 
-import "negotiator/internal/sim"
+import (
+	"negotiator/internal/sim"
+	"negotiator/internal/snap"
+)
 
 // Samples exposes the raw recorded FCT samples: in recording order until
 // an order statistic sorts a class in place.
@@ -45,11 +48,33 @@ func (b *DrainBuffer) RestoreState(last sim.Time, backlog, peak int64) {
 	b.last, b.backlog, b.peak = last, backlog, peak
 }
 
-// Counts exposes the raw per-observation numerators and denominators.
-func (r *Ratio) Counts() (num, den []int64) { return r.num, r.den }
+// Encode appends the observation history to a checkpoint payload: the
+// observation count, every numerator, then every denominator.
+func (r *Ratio) Encode(enc *snap.Enc) {
+	enc.U32(uint32(len(r.num)))
+	for _, v := range r.num {
+		enc.I64(v)
+	}
+	for _, v := range r.den {
+		enc.I64(v)
+	}
+}
 
-// RestoreCounts replaces the observation history.
-func (r *Ratio) RestoreCounts(num, den []int64) {
-	r.num = append(r.num[:0], num...)
-	r.den = append(r.den[:0], den...)
+// Decode replaces the observation history with one Encode wrote. A
+// decode error leaves the history untouched.
+func (r *Ratio) Decode(d *snap.Dec) error {
+	n := int(d.U32())
+	num := make([]int64, n)
+	den := make([]int64, n)
+	for i := range num {
+		num[i] = d.I64()
+	}
+	for i := range den {
+		den[i] = d.I64()
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	r.num, r.den = num, den
+	return nil
 }

@@ -19,8 +19,7 @@ import (
 // Workers is clamped before it reaches the core: capped at the ToR count
 // and reduced to 1 when a feature that requires global sequential state
 // is enabled (selective relay, receiver-buffer tracking, OnDeliver
-// observation, or a custom matcher that does not implement
-// match.Sharded) — see resolveWorkers.
+// observation) — see resolveWorkers.
 type Config struct {
 	fabric.Config
 	// Timing is the epoch structure; zero value means DefaultTiming.
@@ -37,8 +36,8 @@ type Config struct {
 	// NegotiaToR Matching.
 	NewMatcher func(t topo.Topology, timing Timing, rng *sim.RNG) match.Matcher
 	// Relay enables the traffic-aware selective relay extension
-	// (Appendix A.2.2, thin-clos only); nil disables.
-	Relay *RelayConfig
+	// (Appendix A.2.2, thin-clos only).
+	Relay bool
 	// DisableIncremental forces a from-scratch REQUEST sweep every epoch
 	// instead of replaying the demand-versioned request cache of sources
 	// whose queues did not change. Results are byte-identical either way;
@@ -74,38 +73,6 @@ type relayPlan struct {
 	quota    int64
 }
 
-// reqCache holds one source's REQUEST emissions from its last fresh sweep,
-// stamped with the node's demand version at capture time. While the
-// version is unchanged no push or take touched any of the source's VOQs,
-// so a pure matcher's sweep would re-emit exactly this list — the epoch
-// replays it instead of re-walking the occupancy index and re-reading
-// queue depths. Capture is lazy: the first sweep at a new version only
-// records the version (seen), the next sweep at the same version tees its
-// emissions into reqs (valid), and only then do epochs replay. Rows whose
-// demand changes every epoch — the dense saturated regime — therefore
-// never pay the tee, only a version read and a branch. Cached requests
-// are pre-transport: replay feeds them through the same emit path as a
-// fresh sweep, so the per-epoch failure filtering (msgPathOK) still
-// applies at current-epoch rotation.
-type reqCache struct {
-	reqs  []match.Request
-	segs  []reqSeg
-	ver   int64
-	seen  bool
-	valid bool
-}
-
-// reqSeg marks the end (exclusive, into reqCache.reqs) of a run of
-// consecutive requests whose destinations live on one shard. Emissions
-// are ascending by destination and shards are contiguous ToR ranges, so
-// a cached row splits into at most one segment per shard — replay with
-// no failures active appends each segment to its outbox wholesale
-// instead of re-running the per-request emit closure (whose only
-// epoch-dependent work, msgPathOK, is the identity without failures).
-type reqSeg struct {
-	shard, end int32
-}
-
 // Engine is the NegotiaToR control plane over the shared fabric core: it
 // decides, per epoch, which pairs connect (ACCEPT → GRANT/REQUEST over
 // the pipelined in-band mailboxes) and drives the predefined and
@@ -137,13 +104,12 @@ type Engine struct {
 	// skipping a zero-demand source is a matcher no-op and no relay demand
 	// hides outside the direct queues.
 	sparseReq bool
-	// incremental: replay each source's cached request emissions while its
-	// demand version is unchanged (see reqCache); requires a pure Requests
-	// and no relay demand.
-	incremental bool
-	caches      []reqCache
-	batch       match.BatchMatcher // non-nil for batch (iterative) matchers
-	future      [][][]int32        // batch path: future[d][src][port], ring by epoch
+	// reqCache replays each source's cached request emissions while its
+	// demand version is unchanged; nil unless Requests is pure and no relay
+	// demand hides outside the direct VOQs.
+	reqCache *RequestCache
+	batch    match.BatchMatcher // non-nil for batch (iterative) matchers
+	future   [][][]int32        // batch path: future[d][src][port], ring by epoch
 	// futureTouched[d] lists, ascending, the sources whose future[d] rows
 	// the batch Match wrote; all other rows are all -1. batchPrepStep
 	// copies and resets only these rows.
@@ -196,7 +162,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Timing.Validate(cfg.Topology); err != nil {
 		return nil, err
 	}
-	if cfg.Relay != nil {
+	if cfg.Relay {
 		if _, ok := cfg.Topology.(*topo.ThinClos); !ok {
 			return nil, fmt.Errorf("negotiator: selective relay is a thin-clos extension (Appendix A.2.2)")
 		}
@@ -226,11 +192,7 @@ func New(cfg Config) (*Engine, error) {
 		e.matcher = match.NewNegotiator(e.top, rng.Split(1))
 	}
 	e.matcherIdleSafe, e.matcherPure = match.TraitsOf(e.matcher)
-	e.sparseReq = e.matcherIdleSafe && cfg.Relay == nil
-	e.incremental = e.matcherPure && cfg.Relay == nil && !cfg.DisableIncremental
-	if e.incremental {
-		e.caches = make([]reqCache, e.n)
-	}
+	e.sparseReq = e.matcherIdleSafe && !cfg.Relay
 	if b, ok := e.matcher.(match.BatchMatcher); ok {
 		e.batch = b
 		depth := b.MatchDelay() + 1
@@ -250,12 +212,15 @@ func New(cfg Config) (*Engine, error) {
 
 	fc := cfg.Config
 	fc.Workers = e.resolveWorkers()
-	fab, err := fabric.New(fc, fabric.Layout{RNG: rng, Relay: cfg.Relay != nil, CumInjected: true})
+	fab, err := fabric.New(fc, fabric.Layout{RNG: rng, Relay: cfg.Relay, CumInjected: true})
 	if err != nil {
 		return nil, err
 	}
 	e.fab = fab
 	fab.Bind(e, e.admit)
+	if e.matcherPure && !cfg.Relay && !cfg.DisableIncremental {
+		e.reqCache = NewRequestCache(fab, cfg.CheckInvariants)
+	}
 
 	e.tors = make([]*tor, e.n)
 	for i := range e.tors {
@@ -280,7 +245,7 @@ func New(cfg Config) (*Engine, error) {
 	// the engine caches the stable snapshot pointers for its hot paths.
 	e.actual = fab.ActualFailures()
 	e.known = fab.KnownFailures()
-	if cfg.Relay != nil {
+	if cfg.Relay {
 		e.initRelay()
 	}
 	return e, nil
@@ -299,9 +264,9 @@ func (e *Engine) admit(f *flows.Flow, at sim.Time) {
 // shards than ToRs, and sequential whenever a feature needs globally
 // ordered mutation that the sharded phases cannot reproduce — the
 // selective relay's cross-ToR queue pushes, the receiver-buffer drain
-// model, per-delivery observation callbacks, and custom matchers without
-// shard-private scratch (batch matchers are exempt: their Match runs
-// serially and their per-ToR Requests step is read-only).
+// model, and per-delivery observation callbacks. Every matcher forks
+// shard handles (match.Matcher.Fork); batch matchers run their Match
+// serially and only their read-only per-ToR Requests step on the handles.
 func (e *Engine) resolveWorkers() int {
 	w := e.cfg.Workers
 	if w < 1 {
@@ -310,13 +275,8 @@ func (e *Engine) resolveWorkers() int {
 	if w > e.n {
 		w = e.n
 	}
-	if e.cfg.Relay != nil || e.cfg.TrackReceiverBuffers || e.cfg.OnDeliver != nil {
+	if e.cfg.Relay || e.cfg.TrackReceiverBuffers || e.cfg.OnDeliver != nil {
 		w = 1
-	}
-	if w > 1 {
-		if _, ok := e.matcher.(match.Sharded); !ok {
-			w = 1
-		}
 	}
 	return w
 }
@@ -343,7 +303,7 @@ func (e *Engine) initHotPath() {
 	// from the base Negotiator.
 	var handles []match.Matcher
 	if e.workers > 1 {
-		handles = e.matcher.(match.Sharded).Fork(e.workers)
+		handles = e.matcher.Fork(e.workers)
 	}
 	for k := 0; k < e.workers; k++ {
 		fs := e.fab.Shards[k]

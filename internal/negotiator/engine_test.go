@@ -50,7 +50,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("nil topology accepted")
 	}
 	cfg := testConfig(t, "parallel")
-	cfg.Relay = &RelayConfig{}
+	cfg.Relay = true
 	if _, err := New(cfg); err == nil {
 		t.Error("relay on parallel network accepted (thin-clos only)")
 	}
@@ -383,7 +383,7 @@ func TestFailureBandwidthDrop(t *testing.T) {
 
 func TestSelectiveRelayRuns(t *testing.T) {
 	cfg := testConfig(t, "thinclos")
-	cfg.Relay = &RelayConfig{}
+	cfg.Relay = true
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func TestOccupancyInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return Config{Config: fabric.Config{Topology: tc, PriorityQueues: true, Seed: 1}, Piggyback: true, Relay: &RelayConfig{}}
+			return Config{Config: fabric.Config{Topology: tc, PriorityQueues: true, Seed: 1}, Piggyback: true, Relay: true}
 		}},
 		{"plain-thinclos", func(t *testing.T) Config {
 			tc, err := topo.NewThinClos(16, 4, 4)

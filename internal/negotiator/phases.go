@@ -20,7 +20,7 @@ type torView struct {
 func (v *torView) QueuedBytes(dst int) int64 {
 	nd := v.e.fab.Nodes[v.i]
 	b := nd.DirectQueuedBytes(dst)
-	if v.e.cfg.Relay != nil {
+	if v.e.cfg.Relay {
 		b += nd.RelayQueuedBytes(dst)
 		if p := v.e.tors[v.i].relayPlan[dst]; p.quota > 0 {
 			b += p.quota
@@ -37,7 +37,7 @@ func (v *torView) QueuedBytes(dst int) int64 {
 // superset — gated on the configuration, not on slab materialization, so
 // lazy construction cannot change which destinations are visited.
 func (v *torView) NextDemand(after int) int {
-	if v.e.cfg.Relay != nil {
+	if v.e.cfg.Relay {
 		if next := after + 1; next < v.e.n {
 			return next
 		}

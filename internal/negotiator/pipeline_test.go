@@ -147,10 +147,7 @@ func TestMatchRatioSeriesLength(t *testing.T) {
 func TestSelectiveRelayMovesElephantBytes(t *testing.T) {
 	run := func(relay bool) (int64, bool) {
 		cfg := testConfig(t, "thinclos")
-		cfg.Relay = nil
-		if relay {
-			cfg.Relay = &RelayConfig{}
-		}
+		cfg.Relay = relay
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -179,7 +176,7 @@ func TestSelectiveRelaySpeedsUpSinglePairElephant(t *testing.T) {
 	finish := func(relay bool) sim.Duration {
 		cfg := testConfig(t, "thinclos")
 		if relay {
-			cfg.Relay = &RelayConfig{}
+			cfg.Relay = true
 		}
 		e, err := New(cfg)
 		if err != nil {

@@ -4,39 +4,6 @@ import (
 	"negotiator/internal/topo"
 )
 
-// RelayConfig tunes the traffic-aware selective relay extension
-// (Appendix A.2.2), which lets elephant-flow data take a two-hop path on
-// the connection-limited thin-clos topology when spare links exist.
-type RelayConfig struct {
-	// MinBytes is the lowest-priority backlog a destination queue needs
-	// before its data is considered for relaying ("only enable it ... if
-	// the data volume exceeds a certain threshold"). Zero means one epoch
-	// of port capacity.
-	MinBytes int64
-	// DirectBusyBytes marks a port-group as busy with direct traffic;
-	// candidates sharing a busy link are excluded to avoid bandwidth
-	// competition. Zero means one epoch of port capacity.
-	DirectBusyBytes int64
-	// BufferCap bounds the relay backlog an intermediate accepts, the
-	// congestion-control condition of the GRANT step. Zero means 64 epochs
-	// of port capacity.
-	BufferCap int64
-}
-
-func (c *RelayConfig) withDefaults(epochPortBytes int64) RelayConfig {
-	out := *c
-	if out.MinBytes == 0 {
-		out.MinBytes = epochPortBytes
-	}
-	if out.DirectBusyBytes == 0 {
-		out.DirectBusyBytes = epochPortBytes
-	}
-	if out.BufferCap == 0 {
-		out.BufferCap = 64 * epochPortBytes
-	}
-	return out
-}
-
 // relayState is the engine-side implementation. The paper's variant runs
 // the relay negotiation through the same request/grant/accept exchange; we
 // fold the candidate filtering and buffer-capacity checks into the per-epoch
@@ -44,20 +11,33 @@ func (c *RelayConfig) withDefaults(epochPortBytes int64) RelayConfig {
 // exchange. This idealisation can only flatter the relay variant (perfect,
 // instant information), which is conservative for the paper's conclusion
 // that relaying brings no meaningful gain.
+//
+// The thresholds scale with one epoch of port capacity (EpochPortBytes):
+// minBytes is the lowest-priority backlog a destination queue needs before
+// its data is considered for relaying ("only enable it ... if the data
+// volume exceeds a certain threshold"); busyBytes marks a port-group as
+// busy with direct traffic, excluding candidates that would compete with
+// it; bufferCap (64 epochs) bounds the relay backlog an intermediate
+// accepts, the congestion-control condition of the GRANT step.
 type relayState struct {
-	cfg      RelayConfig
-	tc       *topo.ThinClos
-	rotate   []int   // per-source candidate rotation
-	groupBuf []int64 // scratch: per-port direct bytes of the planning source
+	minBytes  int64
+	busyBytes int64
+	bufferCap int64
+	tc        *topo.ThinClos
+	rotate    []int   // per-source candidate rotation
+	groupBuf  []int64 // scratch: per-port direct bytes of the planning source
 }
 
 func (e *Engine) initRelay() {
 	tc := e.top.(*topo.ThinClos)
+	port := e.timing.EpochPortBytes()
 	e.relay = &relayState{
-		cfg:      e.cfg.Relay.withDefaults(e.timing.EpochPortBytes()),
-		tc:       tc,
-		rotate:   make([]int, e.n),
-		groupBuf: make([]int64, e.s),
+		minBytes:  port,
+		busyBytes: port,
+		bufferCap: 64 * port,
+		tc:        tc,
+		rotate:    make([]int, e.n),
+		groupBuf:  make([]int64, e.s),
 	}
 	// The relay FIFOs themselves live in the fabric core's nodes
 	// (fabric.Config.Relay); only the per-epoch plan is control-plane state.
@@ -94,7 +74,7 @@ func (e *Engine) planRelay() {
 				continue
 			}
 			r.groupBuf[r.tc.PathPort(i, j)] += nd.DirectQueuedBytes(j)
-			if nd.DirectLowestPriorityBytes(j) > r.cfg.MinBytes {
+			if nd.DirectLowestPriorityBytes(j) > r.minBytes {
 				heavy = true
 			}
 		}
@@ -104,7 +84,7 @@ func (e *Engine) planRelay() {
 		rot := r.rotate[i]
 		r.rotate[i]++
 		for j := nd.DirectOcc.Next(-1); j >= 0; j = nd.DirectOcc.Next(j) {
-			if j == i || nd.DirectLowestPriorityBytes(j) <= r.cfg.MinBytes {
+			if j == i || nd.DirectLowestPriorityBytes(j) <= r.minBytes {
 				continue
 			}
 			// Find an intermediate k for the elephant i -> j.
@@ -115,7 +95,7 @@ func (e *Engine) planRelay() {
 				}
 				s1 := r.tc.PathPort(i, k)
 				// First hop competes with i's own direct traffic on s1.
-				if r.groupBuf[s1] > r.cfg.DirectBusyBytes {
+				if r.groupBuf[s1] > r.busyBytes {
 					continue
 				}
 				// A port already planned for another relay is taken.
@@ -123,7 +103,7 @@ func (e *Engine) planRelay() {
 					continue
 				}
 				inter := e.fab.Nodes[k]
-				headroom := inter.RelayHeadroom(r.cfg.BufferCap)
+				headroom := inter.RelayHeadroom(r.bufferCap)
 				if headroom <= 0 {
 					continue
 				}
@@ -135,7 +115,7 @@ func (e *Engine) planRelay() {
 						kDirect += inter.DirectQueuedBytes(d)
 					}
 				}
-				if kDirect > r.cfg.DirectBusyBytes {
+				if kDirect > r.busyBytes {
 					continue
 				}
 				quota := e.timing.EpochPortBytes()
@@ -168,7 +148,7 @@ func (sh *engineShard) relayFirstHop(i, k int, budget int64) {
 	}
 	j := int(plan.finalDst)
 	inter := e.fab.Nodes[k]
-	headroom := inter.RelayHeadroom(e.relay.cfg.BufferCap)
+	headroom := inter.RelayHeadroom(e.relay.bufferCap)
 	max := budget
 	if max > plan.quota {
 		max = plan.quota
@@ -179,7 +159,7 @@ func (sh *engineShard) relayFirstHop(i, k int, budget int64) {
 	if max <= 0 {
 		return
 	}
-	sh.txDst = j
+	sh.tx.Dst = j
 	sh.txInter = inter
 	e.fab.Nodes[i].TakeDirectLowest(j, max, sh.relayEmit)
 	t.relayPlan[k] = relayPlan{finalDst: -1}

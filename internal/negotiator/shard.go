@@ -1,7 +1,6 @@
 package negotiator
 
 import (
-	"fmt"
 	"slices"
 
 	"negotiator/internal/fabric"
@@ -31,7 +30,7 @@ import (
 //     (sorted percentiles, sums, max).
 //   - Matcher per-ToR state (rings, matrices) is partitioned by the same
 //     ToR ranges, and shard handles share it while owning private scratch
-//     (see match.Sharded).
+//     (see match.Matcher.Fork).
 type engineShard struct {
 	e      *Engine
 	k      int
@@ -78,34 +77,24 @@ type engineShard struct {
 
 	reqScratch []match.Request // batch path: this shard's request snapshot
 
-	// Transmission emitter state shared by the prebuilt closures below.
-	// Valid only during one queue drain.
-	txNode       *fabric.Node // transmitting ToR's node (loss records)
-	txDst        int
-	txLost       bool
-	txPos        int64    // scheduled-phase byte position (slot timing)
-	txAt         sim.Time // predefined-phase fixed arrival time
-	txPhaseStart sim.Time
-	txInter      *fabric.Node // relay first hop: receiving intermediate
+	// tx is the shard's transmission cursor (slot-timed and fixed-arrival
+	// drain emitters); txInter is the receiving intermediate of a relay
+	// first hop, whose emitter defers NoteSent to the final hop.
+	tx        *fabric.Tx
+	txInter   *fabric.Node
+	relayEmit func(*flows.Flow, int64)
 
+	// req runs the REQUEST step through the plane's request cache.
+	req        *Requester
 	feedbackFn func(match.Grant, bool)
 	grantEmit  func(match.Grant)
 	reqEmit    func(match.Request)
 	batchEmit  func(match.Request)
-	schedEmit  func(*flows.Flow, int64)
-	pbEmit     func(*flows.Flow, int64)
-	relayEmit  func(*flows.Flow, int64)
-
-	// Incremental request-cache plumbing (see reqCache): a fresh sweep
-	// tees every emission into the source's cache before forwarding it to
-	// the real emitter; the verify tee captures a shadow sweep for the
-	// replay-equals-fresh invariant. Valid only during one sourceRequests
-	// call.
-	curCache  *reqCache
-	curEmit   func(match.Request)
-	teeEmit   func(match.Request)
-	verifyBuf []match.Request
-	verifyTee func(match.Request)
+	// bulkOut and bulkScratch take a replayed cache row wholesale: into
+	// the outbox buckets (reqEmit's target, when no failure can drop a
+	// message) or the flat batch snapshot (batchEmit's target).
+	bulkOut     func(int32, []match.Request)
+	bulkScratch func(int32, []match.Request)
 }
 
 // initEmitters builds the closures the per-epoch path reuses. All per-call
@@ -124,7 +113,7 @@ func (sh *engineShard) initEmitters() {
 		sh.grants++
 		// Grants over known-failed ports are suppressed at the source of
 		// truth: the destination will not use a dead ingress.
-		if e.known != nil && e.known.Count > 0 && !e.known.PathOK(g.Src, g.Dst, g.Port) {
+		if !e.known.PathUp(g.Src, g.Dst, g.Port) {
 			return
 		}
 		if !e.msgPathOK(g.Dst, g.Src, e.fab.Rounds()) {
@@ -142,70 +131,24 @@ func (sh *engineShard) initEmitters() {
 		sh.reqOut[d] = append(sh.reqOut[d], r)
 	}
 	sh.batchEmit = func(r match.Request) { sh.reqScratch = append(sh.reqScratch, r) }
-	sh.teeEmit = func(r match.Request) {
-		sh.curCache.reqs = append(sh.curCache.reqs, r)
-		sh.curEmit(r)
-	}
-	sh.verifyTee = func(r match.Request) { sh.verifyBuf = append(sh.verifyBuf, r) }
-	// Scheduled-phase delivery: bytes land slot by slot after the
-	// predefined phase.
-	sh.schedEmit = func(f *flows.Flow, n int64) {
-		// A flow group's contiguous run is split at member boundaries so
-		// each member's last byte carries the arrival time of the slot it
-		// actually lands in — the boundary-crossing FCT is then exactly
-		// what n separate flows would record. Single flows take one pass.
-		for n > 0 {
-			take := n
-			if f.Count > 1 {
-				if rem := f.Size - f.Sent()%f.Size; rem < take {
-					take = rem
-				}
-			}
-			off := f.Sent()
-			f.NoteSent(take)
-			sh.txPos += take
-			at := sh.slotArrival()
-			if sh.txLost {
-				sh.fs.RecordLoss(sh.txNode, f, sh.txDst, off, take, at)
-			} else {
-				sh.fs.Deliver(f, sh.txDst, take, at)
-			}
-			n -= take
-		}
-	}
-	// Predefined-phase (piggyback) delivery: fixed slot arrival time.
-	sh.pbEmit = func(f *flows.Flow, n int64) {
-		off := f.Sent()
-		f.NoteSent(n)
-		if sh.txLost {
-			sh.fs.RecordLoss(sh.txNode, f, sh.txDst, off, n, sh.txAt)
-			return
-		}
-		sh.fs.Deliver(f, sh.txDst, n, sh.txAt)
-	}
+	sh.bulkOut = func(d int32, rs []match.Request) { sh.reqOut[d] = append(sh.reqOut[d], rs...) }
+	sh.bulkScratch = func(_ int32, rs []match.Request) { sh.reqScratch = append(sh.reqScratch, rs...) }
+	sh.req = NewRequester(e.reqCache, sh.matcher, e.threshold)
+	sh.tx = sh.fs.NewTx(e.payload, e.timing.ScheduledSlot, e.timing.PropDelay)
 	// Relay first hop (sequential-only feature): bytes move into the
 	// intermediate's relay queue and stay "sent but not delivered" until
 	// the second hop completes, so NoteSent happens at the final hop only.
 	sh.relayEmit = func(f *flows.Flow, n int64) {
-		sh.txPos += n
-		at := sh.slotArrival()
-		if sh.txLost {
+		tx := sh.tx
+		at := tx.Advance(n)
+		if tx.Lost {
 			off := f.Sent()
 			f.NoteSent(n)
-			sh.fs.RecordLoss(sh.txNode, f, sh.txDst, off, n, at)
+			sh.fs.RecordLoss(tx.Node, f, tx.Dst, off, n, at)
 			return
 		}
-		sh.txInter.PushRelay(sh.txDst, queue.Segment{Flow: f, Bytes: n, Enqueued: at})
+		sh.txInter.PushRelay(tx.Dst, queue.Segment{Flow: f, Bytes: n, Enqueued: at})
 	}
-}
-
-// slotArrival returns the arrival time of a scheduled-phase byte run
-// ending at the current txPos: the end of the slot it finishes in, plus
-// propagation.
-func (sh *engineShard) slotArrival() sim.Time {
-	e := sh.e
-	endSlot := (sh.txPos + e.payload - 1) / e.payload
-	return sh.txPhaseStart.Add(sim.Duration(endSlot) * e.timing.ScheduledSlot).Add(e.timing.PropDelay)
 }
 
 // acceptStep is phase A: grants received during the previous epoch yield
@@ -284,118 +227,33 @@ func (sh *engineShard) emitStep() {
 		sh.inflight -= int64(len(in))
 		t.reqIn[prev] = in[:0]
 	}
-	sh.requestSweep(sh.reqEmit, bulkOut)
+	bulk := sh.bulkOut
+	if e.actual != nil && e.actual.Count > 0 {
+		bulk = nil // msgPathOK may drop a replayed request this epoch
+	}
+	sh.requestSweep(sh.reqEmit, bulk)
 }
 
-// Bulk-replay targets for a cached row (see sourceRequests): where the
-// emit closure's output would land, so replay can append the cached list
-// wholesale when no failures are active and skip the per-request call.
-const (
-	bulkNone    = iota // unknown emitter — always replay per emission
-	bulkOut            // reqEmit: per-destination-shard outbox buckets
-	bulkScratch        // batchEmit: the flat reqScratch list
-)
-
-// requestSweep runs the REQUEST step over this shard's sources into emit.
-// When the matcher tolerates skipping zero-demand sources (and no relay
-// demand hides outside the direct VOQs), the sweep walks the shard's
+// requestSweep runs the REQUEST step over this shard's sources into emit
+// (bulk takes replayed cache rows; see Requester.Source). When the
+// matcher tolerates skipping zero-demand sources (and no relay demand
+// hides outside the direct VOQs), the sweep walks the shard's
 // non-empty-node occupancy set — O(active sources) — instead of the dense
 // range; the occupancy bit is exactly "some direct VOQ holds bytes", a
 // superset of "some VOQ exceeds the request threshold", so emissions are
 // identical to the dense walk, in the same ascending order.
-func (sh *engineShard) requestSweep(emit func(match.Request), bulk int) {
+func (sh *engineShard) requestSweep(emit func(match.Request), bulk func(int32, []match.Request)) {
 	e := sh.e
 	if e.sparseReq {
 		occ := &sh.fs.ActiveDirect
 		for bit := occ.Next(-1); bit >= 0; bit = occ.Next(bit) {
-			sh.sourceRequests(sh.lo+bit, emit, bulk)
+			i := sh.lo + bit
+			sh.req.Source(i, &e.views[i], e.curEpochStart, emit, bulk)
 		}
 		return
 	}
 	for i := sh.lo; i < sh.hi; i++ {
-		sh.sourceRequests(i, emit, bulk)
-	}
-}
-
-// sourceRequests emits one source's requests: a cached replay when the
-// incremental path is on and the source's demand version is unchanged
-// since the last fresh sweep, a fresh sweep otherwise. A fresh sweep tees
-// its emissions into the cache only once the version has already been
-// observed stable across an epoch (see reqCache) — a row that changes
-// every epoch emits straight through the real emitter. With no failures
-// active the emit closures are epoch-independent (msgPathOK is the
-// identity), so replay bypasses them and appends the cached list to the
-// target wholesale — per pre-computed shard segment for the outbox
-// buckets, in one append for the batch scratch list. Under
-// CheckInvariants every replay is shadowed by a fresh sweep and compared
-// element-wise — the incremental path must be invisible.
-func (sh *engineShard) sourceRequests(i int, emit func(match.Request), bulk int) {
-	e := sh.e
-	if !e.incremental {
-		sh.matcher.Requests(i, &e.views[i], e.curEpochStart, e.threshold, emit)
-		return
-	}
-	c := &e.caches[i]
-	ver := e.fab.Nodes[i].DemandVer()
-	if !c.seen || c.ver != ver {
-		// Demand moved since the last sweep (or first visit): plain sweep,
-		// no capture — replay next epoch is not yet possible anyway.
-		c.ver, c.seen, c.valid = ver, true, false
-		sh.matcher.Requests(i, &e.views[i], e.curEpochStart, e.threshold, emit)
-		return
-	}
-	if c.valid {
-		if e.cfg.CheckInvariants {
-			sh.verifyReplay(i, c)
-		}
-		if bulk != bulkNone && (e.actual == nil || e.actual.Count == 0) {
-			if bulk == bulkScratch {
-				sh.reqScratch = append(sh.reqScratch, c.reqs...)
-				return
-			}
-			a := int32(0)
-			for _, s := range c.segs {
-				sh.reqOut[s.shard] = append(sh.reqOut[s.shard], c.reqs[a:s.end]...)
-				a = s.end
-			}
-			return
-		}
-		for _, r := range c.reqs {
-			emit(r)
-		}
-		return
-	}
-	// Version held stable for a full epoch: capture this sweep so the
-	// next one can replay it.
-	c.reqs = c.reqs[:0]
-	sh.curCache, sh.curEmit = c, emit
-	sh.matcher.Requests(i, &e.views[i], e.curEpochStart, e.threshold, sh.teeEmit)
-	sh.curCache, sh.curEmit = nil, nil
-	c.segs = c.segs[:0]
-	for k, r := range c.reqs {
-		s := e.fab.ShardOf[r.Dst]
-		if n := len(c.segs); n == 0 || c.segs[n-1].shard != s {
-			c.segs = append(c.segs, reqSeg{shard: s})
-		}
-		c.segs[len(c.segs)-1].end = int32(k + 1)
-	}
-	c.valid = true
-}
-
-// verifyReplay asserts that a source's cached request list matches what a
-// fresh sweep would emit right now (sound to run twice: the incremental
-// path requires a pure Requests).
-func (sh *engineShard) verifyReplay(i int, c *reqCache) {
-	e := sh.e
-	sh.verifyBuf = sh.verifyBuf[:0]
-	sh.matcher.Requests(i, &e.views[i], e.curEpochStart, e.threshold, sh.verifyTee)
-	if len(sh.verifyBuf) != len(c.reqs) {
-		panic(fmt.Sprintf("negotiator: request cache diverged at ToR %d: %d cached vs %d fresh", i, len(c.reqs), len(sh.verifyBuf)))
-	}
-	for k := range sh.verifyBuf {
-		if sh.verifyBuf[k] != c.reqs[k] {
-			panic(fmt.Sprintf("negotiator: request cache diverged at ToR %d request %d: cached %+v fresh %+v", i, k, c.reqs[k], sh.verifyBuf[k]))
-		}
+		sh.req.Source(i, &e.views[i], e.curEpochStart, emit, bulk)
 	}
 }
 
@@ -495,7 +353,7 @@ func (sh *engineShard) batchPrepStep() {
 		}
 	}
 	sh.reqScratch = sh.reqScratch[:0]
-	sh.requestSweep(sh.batchEmit, bulkScratch)
+	sh.requestSweep(sh.batchEmit, sh.bulkScratch)
 }
 
 // predefinedPhase transmits piggybacked data over the round-robin
@@ -528,20 +386,21 @@ func (sh *engineShard) predefinedPhase(epochStart sim.Time) {
 				continue
 			}
 			slot, port := e.top.PredefinedSlotPort(i, j, rot)
-			if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, port) {
+			if !e.known.PathUp(i, j, port) {
 				continue // knowingly dead link: hold the data
 			}
-			sh.txNode, sh.txDst = nd, j
-			sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, port)
-			sh.txAt = epochStart.Add(sim.Duration(slot+1) * slotDur).Add(e.timing.PropDelay)
+			tx := sh.tx
+			tx.Node, tx.Dst = nd, j
+			tx.Lost = !e.actual.PathUp(i, j, port)
+			tx.At = epochStart.Add(sim.Duration(slot+1) * slotDur).Add(e.timing.PropDelay)
 			budget := e.piggyBytes
 			if hasDirect {
-				budget -= nd.TakeDirect(j, budget, sh.pbEmit)
+				budget -= nd.TakeDirect(j, budget, tx.Fixed)
 			}
 			if budget > 0 && hasRelay {
 				// Relay bytes piggyback too once they are at the
 				// intermediate: from there they are ordinary one-hop data.
-				nd.DrainRelay(j, budget, epochStart, sh.pbEmit)
+				nd.DrainRelay(j, budget, epochStart, tx.Fixed)
 			}
 		}
 	}
@@ -567,15 +426,15 @@ func (sh *engineShard) scheduledPhase(epochStart sim.Time) {
 				continue
 			}
 			j := int(dj)
-			sh.txNode, sh.txDst = nd, j
-			sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, p)
-			sh.txPos = 0
-			sh.txPhaseStart = phaseStart
-			sent := nd.TakeDirect(j, capacity, sh.schedEmit)
+			tx := sh.tx
+			tx.Node, tx.Dst = nd, j
+			tx.Lost = !e.actual.PathUp(i, j, p)
+			tx.Pos, tx.Start = 0, phaseStart
+			sent := nd.TakeDirect(j, capacity, tx.Slotted)
 			if nd.Relay.Materialized() && sent < capacity {
 				// Second hop: forward data relayed through us that has
 				// physically arrived by the start of this epoch.
-				sent += nd.DrainRelay(j, capacity-sent, epochStart, sh.schedEmit)
+				sent += nd.DrainRelay(j, capacity-sent, epochStart, tx.Slotted)
 			}
 			if e.relay != nil && sent < capacity {
 				// First hop: ship planned relay data to intermediate j.

@@ -127,7 +127,7 @@ func TestWorkersClampedForSequentialFeatures(t *testing.T) {
 	base := Config{Config: fabric.Config{Topology: tc, Workers: 4}}
 
 	cfg := base
-	cfg.Relay = &RelayConfig{}
+	cfg.Relay = true
 	if e, _ := New(cfg); e.fab.Workers != 1 {
 		t.Errorf("relay: workers = %d, want 1", e.fab.Workers)
 	}
@@ -149,42 +149,5 @@ func TestWorkersClampedForSequentialFeatures(t *testing.T) {
 	cfg.Workers = 1000 // capped at ToR count
 	if e, _ := New(cfg); e.fab.Workers != 16 {
 		t.Errorf("cap: workers = %d, want 16", e.fab.Workers)
-	}
-}
-
-// unshardedMatcher wraps the base matcher but hides its Fork, simulating a
-// custom scheduler that predates match.Sharded.
-type unshardedMatcher struct{ m match.Matcher }
-
-func (u *unshardedMatcher) Name() string    { return "unsharded" }
-func (u *unshardedMatcher) MatchDelay() int { return u.m.MatchDelay() }
-func (u *unshardedMatcher) Requests(src int, v match.QueueView, now sim.Time, thr int64, emit func(match.Request)) {
-	u.m.Requests(src, v, now, thr, emit)
-}
-func (u *unshardedMatcher) Grants(dst int, reqs []match.Request, emit func(match.Grant)) {
-	u.m.Grants(dst, reqs, emit)
-}
-func (u *unshardedMatcher) Accepts(src int, v match.QueueView, gs []match.Grant, matches []int32, fb func(match.Grant, bool)) {
-	u.m.Accepts(src, v, gs, matches, fb)
-}
-func (u *unshardedMatcher) Feedback(g match.Grant, ok bool) { u.m.Feedback(g, ok) }
-
-func TestWorkersClampedForUnshardedMatcher(t *testing.T) {
-	tp, _ := topo.NewParallel(16, 4)
-	cfg := Config{
-		Config: fabric.Config{
-			Topology: tp,
-			Workers:  4,
-		},
-		NewMatcher: func(tp topo.Topology, tm Timing, r *sim.RNG) match.Matcher {
-			return &unshardedMatcher{m: match.NewNegotiator(tp, r)}
-		},
-	}
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.fab.Workers != 1 {
-		t.Errorf("custom non-Sharded matcher: workers = %d, want 1", e.fab.Workers)
 	}
 }

@@ -17,14 +17,7 @@ import (
 // restarts cold, which the replay-equals-fresh invariant makes invisible.
 func (e *Engine) PlaneState() ([]byte, error) {
 	var enc snap.Enc
-	num, den := e.matchRatio.Counts()
-	enc.U32(uint32(len(num)))
-	for _, v := range num {
-		enc.I64(v)
-	}
-	for _, v := range den {
-		enc.I64(v)
-	}
+	e.matchRatio.Encode(&enc)
 
 	enc.Bool(e.relay != nil)
 	if e.relay != nil {
@@ -86,19 +79,9 @@ func (e *Engine) PlaneState() ([]byte, error) {
 // the same invariants CheckRound asserts.
 func (e *Engine) RestorePlaneState(data []byte) error {
 	d := snap.NewDec(data)
-	rn := int(d.U32())
-	num := make([]int64, rn)
-	den := make([]int64, rn)
-	for i := range num {
-		num[i] = d.I64()
-	}
-	for i := range den {
-		den[i] = d.I64()
-	}
-	if err := d.Err(); err != nil {
+	if err := e.matchRatio.Decode(d); err != nil {
 		return err
 	}
-	e.matchRatio.RestoreCounts(num, den)
 
 	hasRelay := d.Bool()
 	if hasRelay != (e.relay != nil) {

@@ -489,7 +489,7 @@ func (sh *obShard) drainStep() {
 			// A link the fabric knows is down is excluded from service
 			// (the slot is not scheduled, so serve keeps it gated too); a
 			// link that is down but undetected transmits into the void.
-			if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, s) {
+			if !e.known.PathUp(i, j, s) {
 				continue
 			}
 			if !src.RelayHeadReady(j, e.slotStart) {
@@ -497,7 +497,7 @@ func (sh *obShard) drainStep() {
 			}
 			sh.txDst = j
 			sh.txNode = src
-			sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, s)
+			sh.txLost = !e.actual.PathUp(i, j, s)
 			src.DrainRelay(j, e.cell, e.slotStart, sh.drainEmit)
 			sh.usedStamp[(i-sh.lo)*e.s+s] = slotNo + 1
 		}
@@ -535,7 +535,7 @@ func (sh *obShard) drainSparse(dsts *fabric.OccSet, slotNo int64) {
 		s := int(c>>20) & (1<<20 - 1)
 		j := int(c & (1<<20 - 1))
 		src := e.fab.Nodes[i]
-		if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, s) {
+		if !e.known.PathUp(i, j, s) {
 			continue
 		}
 		if !src.RelayHeadReady(j, e.slotStart) {
@@ -543,7 +543,7 @@ func (sh *obShard) drainSparse(dsts *fabric.OccSet, slotNo int64) {
 		}
 		sh.txDst = j
 		sh.txNode = src
-		sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, s)
+		sh.txLost = !e.actual.PathUp(i, j, s)
 		src.DrainRelay(j, e.cell, e.slotStart, sh.drainEmit)
 		sh.usedStamp[(i-sh.lo)*e.s+s] = slotNo + 1
 	}
@@ -577,11 +577,11 @@ func (sh *obShard) serveStep() {
 			// Every transmission of slot (i, s) rides the same fibre pair,
 			// so the known-failure gate and the actual-loss flag apply to
 			// the connection as a whole (see drainStep).
-			if e.known != nil && e.known.Count > 0 && !e.known.PathOK(i, j, s) {
+			if !e.known.PathUp(i, j, s) {
 				continue
 			}
 			sh.txNode = src
-			sh.txLost = e.actual != nil && e.actual.Count > 0 && !e.actual.PathOK(i, j, s)
+			sh.txLost = !e.actual.PathUp(i, j, s)
 			if src.Lanes.Materialized() {
 				sh.serveLanes(src, i, j)
 			} else {

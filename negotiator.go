@@ -429,10 +429,8 @@ func (s Spec) build(scratchRequests bool) (Fabric, error) {
 			Piggyback:            s.Piggyback,
 			RequestThresholdPkts: s.RequestThresholdPkts,
 			NewMatcher:           s.matcherFactory(),
+			Relay:                s.SelectiveRelay,
 			DisableIncremental:   scratchRequests,
-		}
-		if s.SelectiveRelay {
-			cfg.Relay = &negotiator.RelayConfig{}
 		}
 		p, err = negotiator.New(cfg)
 	}
